@@ -11,7 +11,7 @@ class GuardLimitError(RuntimeError):
 
 
 class CorruptPacketError(RuntimeError):
-    """A source-routed packet decoded to an out-of-range port code."""
+    """A source-routed packet's framing or port code does not fit the topology."""
 
 
 class RoutingError(RuntimeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GuardLimitError, RoutingError
-from .metrics import bfs_distances
+from .metrics import _tree
 from .topology import CirculantSpec
 
 
@@ -123,27 +123,28 @@ def stretch_report(spec: CirculantSpec, *, limit: int = 10_000) -> StretchReport
     if spec.n > limit:
         raise GuardLimitError(f"{spec.label} has {spec.n} nodes, above the {limit} guard")
     n = spec.n
+    # greedy hops and BFS distance depend only on the offset (dst - src) mod n
+    dist = _tree(spec)[0]
     total = 0.0
     worst_ratio = 0.0
-    worst: list[tuple[int, int, int, int]] = []
-    for src in range(n):
-        dist = bfs_distances(spec, src)
-        for dst in range(n):
-            if dst == src:
-                continue
-            greedy_hops = len(greedy_path(spec, src, dst)) - 1
-            shortest = int(dist[dst])
-            ratio = greedy_hops / shortest
-            total += ratio
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > 1.0:
-                worst.append((src, dst, greedy_hops, shortest))
+    stretched = []  # (offset, greedy_hops, shortest_hops) where stretch > 1
+    for offset in range(1, n):
+        greedy_hops = len(greedy_path(spec, 0, offset)) - 1
+        shortest = dist[offset]
+        ratio = greedy_hops / shortest
+        total += ratio
+        worst_ratio = max(worst_ratio, ratio)
+        if ratio > 1.0:
+            stretched.append((offset, greedy_hops, shortest))
+    worst = [
+        (src, (src + off) % n, hops, best) for src in range(n) for off, hops, best in stretched
+    ]
     pairs = n * (n - 1)
-    worst.sort(key=lambda t: t[2] / t[3], reverse=True)
+    worst.sort(key=lambda t: (-t[2] / t[3], t[0], t[1]))  # worst first, then src, dst
     return StretchReport(
         label=spec.label,
         pairs=pairs,
         max_stretch=worst_ratio,
-        avg_stretch=total / pairs,
+        avg_stretch=total / (n - 1),
         worst_pairs=worst,
     )

@@ -1,10 +1,10 @@
 """Distance metrics for circulants and the square-mesh reference formulas.
 
-Brute-force values come from breadth-first search.  Circulants are vertex
-transitive, so the distance profile seen from node 0 is the profile seen from
-every node; diameter and average distance therefore need a single BFS by
-default.  Pass ``all_pairs=True`` to re-derive them from every source when
-cross-checking that shortcut.
+One breadth-first search, in ascending port-code order with the first-found
+predecessor kept, serves the package.  Circulants are vertex transitive, so
+the tree from node 0, shifted by src, is the tree from src: each spec needs
+one cached tree, which diameter, average distance and every source route
+read.  Pass ``all_pairs=True`` to re-derive the metrics from every source.
 """
 
 from __future__ import annotations
@@ -12,10 +12,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import GuardLimitError
 from .topology import CirculantSpec, neighbor_offsets
+
+# Largest node count the search accepts: a 2**20-node tree already costs
+# seconds and tens of megabytes in pure Python.
+BFS_NODE_LIMIT = 2**20
 
 
 def ceil_log2(x: int) -> int:
@@ -25,38 +31,54 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def bfs_distances(spec: CirculantSpec, src: int) -> np.ndarray:
-    """Hop distance from src to every node, as an int64 array of length n."""
+def _bfs(spec: CirculantSpec, src: int) -> tuple[list[int], list[int]]:
+    """Hop distance and BFS-tree predecessor of every node, seen from src."""
     n = spec.n
+    if n > BFS_NODE_LIMIT:
+        raise GuardLimitError(f"{spec.label} has {n} nodes, above the {BFS_NODE_LIMIT} BFS guard")
     if not 0 <= src < n:
         raise ValueError(f"source {src} outside 0..{n - 1}")
     offsets = neighbor_offsets(spec)
     dist = [-1] * n
+    pred = [-1] * n
     dist[src] = 0
+    pred[src] = src
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        du = dist[u]
+        du = dist[u] + 1
         for off in offsets:
             v = (u + off) % n
             if dist[v] < 0:
-                dist[v] = du + 1
+                dist[v] = du
+                pred[v] = u
                 queue.append(v)
-    return np.asarray(dist, dtype=np.int64)
+    return dist, pred
+
+
+@lru_cache(maxsize=8)
+def _tree(spec: CirculantSpec) -> tuple[list[int], list[int]]:
+    """The BFS tree from node 0; by translation, every node's tree."""
+    return _bfs(spec, 0)
+
+
+def bfs_distances(spec: CirculantSpec, src: int) -> np.ndarray:
+    """Hop distance from src to every node, as an int64 array of length n."""
+    return np.asarray(_bfs(spec, src)[0], dtype=np.int64)
 
 
 def diameter(spec: CirculantSpec, *, all_pairs: bool = False) -> int:
     if not all_pairs:
-        return int(bfs_distances(spec, 0).max())
-    return max(int(bfs_distances(spec, src).max()) for src in range(spec.n))
+        return max(_tree(spec)[0])
+    return max(max(_bfs(spec, src)[0]) for src in range(spec.n))
 
 
 def average_distance(spec: CirculantSpec, *, all_pairs: bool = False) -> float:
     """Mean hop distance over ordered pairs (i, j) with i != j."""
     n = spec.n
     if not all_pairs:
-        return float(bfs_distances(spec, 0).sum()) / (n - 1)
-    total = sum(int(bfs_distances(spec, src).sum()) for src in range(n))
+        return sum(_tree(spec)[0]) / (n - 1)
+    total = sum(sum(_bfs(spec, src)[0]) for src in range(n))
     return total / (n * (n - 1))
 
 
@@ -106,14 +128,14 @@ class MetricsRow:
     mesh_avg: float
 
 
-def compare_row(spec: CirculantSpec, *, all_pairs: bool = False) -> MetricsRow:
+def compare_row(spec: CirculantSpec) -> MetricsRow:
     """Brute-force metrics plus mesh reference; closed forms only for s = 2."""
     has_closed_form = spec.s == 2
     return MetricsRow(
         label=spec.label,
         n=spec.n,
-        diameter=diameter(spec, all_pairs=all_pairs),
-        avg_distance=average_distance(spec, all_pairs=all_pairs),
+        diameter=diameter(spec),
+        avg_distance=average_distance(spec),
         analytic_diameter=analytic_diameter_mc2(spec.k) if has_closed_form else None,
         analytic_avg=analytic_avg_mc2(spec.k) if has_closed_form and spec.k >= 2 else None,
         mesh_diameter=mesh_diameter(spec.n),

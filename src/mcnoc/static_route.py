@@ -7,19 +7,17 @@ router only ever extracts the low bits, looks up the port, and shifts the
 rest of the field right.  An all-zero field means the packet has arrived:
 code 0 is the reserved terminator and never names a port.
 
-Routes are node lists (``[src, ..., dst]``), shortest by construction.  The
-breadth-first search explores neighbours in ascending port-code order and
-keeps the first predecessor it finds, so every (src, dst) pair maps to one
-reproducible path.
+Routes are node lists (``[src, ..., dst]``), shortest by construction.  They
+come from the spec's one cached BFS tree (see ``metrics``), shifted by the
+source, so every (src, dst) pair maps to one reproducible path.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import CorruptPacketError
-from .metrics import ceil_log2, diameter
+from .metrics import _tree, ceil_log2, diameter
 from .topology import (
     CirculantSpec,
     HopAction,
@@ -27,8 +25,6 @@ from .topology import (
     port_count,
     port_table,
 )
-
-NodePath = list
 
 
 def bits_per_hop(spec: CirculantSpec) -> int:
@@ -63,37 +59,29 @@ class SourceRoutedPacket:
         )
 
 
+def _tree_path(pred: list[int], node: int, shift: int = 0) -> list[int]:
+    """Nodes from the tree's root (its own predecessor) to node, each moved by shift."""
+    path = [node]
+    while pred[node] != node:
+        node = pred[node]
+        path.append(node)
+    return [(v + shift) % len(pred) for v in reversed(path)]
+
+
 def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
-    """Deterministic shortest path from src to dst as a node list."""
+    """Deterministic shortest path: the node-0 tree path to dst - src, shifted by src."""
     n = spec.n
     if not 0 <= src < n:
         raise ValueError(f"source {src} outside 0..{n - 1}")
     if not 0 <= dst < n:
         raise ValueError(f"destination {dst} outside 0..{n - 1}")
-    offsets = neighbor_offsets(spec)
-    pred = [-1] * n
-    pred[src] = src
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for off in offsets:
-            v = (u + off) % n
-            if pred[v] < 0:
-                pred[v] = u
-                queue.append(v)
-    path = [dst]
-    while path[-1] != src:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return path
+    return _tree_path(_tree(spec)[1], (dst - src) % n, src)
 
 
 def path_to_actions(spec: CirculantSpec, path: list[int]) -> list[HopAction]:
     """Translate consecutive node pairs into hop actions."""
     n = spec.n
-    action_of = {
-        (a.sign * spec.generatrices[a.gen_index]) % n: a for a in port_table(spec).actions
-    }
+    action_of = dict(zip(neighbor_offsets(spec), port_table(spec).actions))
     actions = []
     for u, v in zip(path, path[1:]):
         off = (v - u) % n
@@ -140,16 +128,19 @@ def consume_step(
     Returns ``(None, packet)`` unchanged when the field is all zero, i.e.
     the packet is at its destination.
     """
+    b = bits_per_hop(spec)
+    if packet.bits_per_hop != b:
+        raise CorruptPacketError(
+            f"packet has {packet.bits_per_hop}-bit hop slots, {spec.label} uses {b}"
+        )
     field = packet.path_field
     if field == 0:
         return None, packet
-    b = packet.bits_per_hop
     code = field & ((1 << b) - 1)
-    limit = port_count(spec)
-    if code == 0 or code > limit:
-        raise CorruptPacketError(f"hop code {code} outside 1..{limit}")
-    action = port_table(spec).action(code)
-    return action, replace(packet, path_field=field >> b)
+    table = port_table(spec)
+    if code == 0 or code > len(table):
+        raise CorruptPacketError(f"hop code {code} outside 1..{len(table)}")
+    return table.action(code), replace(packet, path_field=field >> b)
 
 
 def build_packet(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GuardLimitError
@@ -159,14 +160,14 @@ class PortTable:
             raise ValueError(f"{action} is not a port of this topology") from None
 
 
+@lru_cache(maxsize=256)
 def port_table(spec: CirculantSpec) -> PortTable:
     return PortTable(spec)
 
 
 def port_count(spec: CirculantSpec) -> int:
     """Number of ports per node: 2k, minus one if a generatrix is diametral."""
-    diametral = sum(1 for g in spec.generatrices if 2 * g == spec.n)
-    return 2 * spec.k - diametral
+    return len(port_table(spec))
 
 
 def apply_action(spec: CirculantSpec, v: int, action: HopAction) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "memory", "--s", "10", "--k", "10")
         assert code == 2
         assert err.startswith("invariant violation:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("route", "--s", "3", "--k", "14", "--from", "0", "--to", "1", "--algo", "bfs"),
+            ("metrics", "--s", "2", "--k", "30"),
+        ],
+    )
+    def test_bfs_guard_refuses_promptly(self, argv):
+        # in a child process, so a missing guard fails on the timeout instead of hanging
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcnoc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("invariant violation:")
+        assert "BFS guard" in proc.stderr
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

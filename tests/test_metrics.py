@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import nx_circulant
 from mcnoc import (
+    GuardLimitError,
     analytic_avg_mc2,
     analytic_diameter_mc2,
     average_distance,
@@ -19,7 +20,7 @@ from mcnoc import (
     mesh_diameter,
     metrics_csv_row,
 )
-from mcnoc.metrics import METRICS_CSV_HEADER
+from mcnoc.metrics import BFS_NODE_LIMIT, METRICS_CSV_HEADER
 
 # brute-force distance values, cross-checked against networkx below
 DIAMETERS = {
@@ -71,6 +72,15 @@ class TestBruteForce:
     def test_bfs_rejects_bad_source(self):
         with pytest.raises(ValueError):
             bfs_distances(make_multiplicative(2, 4), 16)
+
+    def test_bfs_guard(self):
+        big = make_multiplicative(2, 21)
+        assert big.n > BFS_NODE_LIMIT
+        for measure in (diameter, average_distance, compare_row):
+            with pytest.raises(GuardLimitError):
+                measure(big)
+        with pytest.raises(GuardLimitError):
+            bfs_distances(big, 0)
 
     @pytest.mark.parametrize(
         "build",

@@ -15,6 +15,7 @@ from mcnoc import (
     sim_report_csv,
     sim_report_document,
 )
+from mcnoc import simulator
 from mcnoc.simulator import SIM_CSV_HEADER
 
 
@@ -166,3 +167,18 @@ class TestBench:
     def test_size_guard(self):
         with pytest.raises(GuardLimitError):
             bench_route_computation(make_multiplicative(10, 5), "greedy")
+
+    def test_bfs_sweep_searches_once_per_pair(self, monkeypatch):
+        # the bench times one full search per ordered pair, never the cached tree
+        roots = []
+        search = simulator._bfs
+
+        def counting(spec, src):
+            roots.append(src)
+            return search(spec, src)
+
+        monkeypatch.setattr(simulator, "_bfs", counting)
+        spec = make_multiplicative(2, 4)
+        bench_route_computation(spec, "bfs", repeat=2)
+        n = spec.n
+        assert roots == [src for src in range(n) for _ in range(n - 1)] * 2

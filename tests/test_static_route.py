@@ -1,3 +1,6 @@
+import math
+from collections import deque
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from mcnoc import (
     encode_path,
     make_circulant,
     make_multiplicative,
+    neighbor_offsets,
     path_to_actions,
     port_count,
     shortest_path,
@@ -24,6 +28,36 @@ from mcnoc import (
 small_specs = st.tuples(st.integers(2, 5), st.integers(1, 4)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 700
 )
+
+
+@st.composite
+def circulants(draw):
+    """General circulants with n <= 200; even n often carries the diametral n/2."""
+    n = draw(st.integers(3, 200))
+    gens = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    if n % 2 == 0 and draw(st.booleans()):
+        gens.add(n // 2)
+    if math.gcd(n, *gens) != 1:
+        gens.add(1)
+    return make_circulant(n, sorted(gens))
+
+
+def rooted_search_path(spec, src, dst):
+    """Path from a fresh BFS rooted at src: FIFO, ascending port codes, first wins."""
+    offsets = neighbor_offsets(spec)
+    pred = {src: src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for off in offsets:
+            v = (u + off) % spec.n
+            if v not in pred:
+                pred[v] = u
+                queue.append(v)
+    path = [dst]
+    while path[-1] != src:
+        path.append(pred[path[-1]])
+    return path[::-1]
 
 
 def walk(spec, src, packet):
@@ -83,6 +117,29 @@ class TestShortestPath:
         assert len(path) - 1 == int(bfs_distances(spec, src)[dst])
         # consecutive nodes must be adjacent; path_to_actions enforces it
         assert len(path_to_actions(spec, path)) == len(path) - 1
+
+
+class TestTranslationInvariance:
+    @settings(max_examples=150, deadline=None)
+    @given(circulants(), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_shifted_tree_path_is_the_rooted_search_path(self, spec, a, b):
+        src, dst = a % spec.n, b % spec.n
+        path = shortest_path(spec, src, dst)
+        assert path == rooted_search_path(spec, src, dst)
+        assert len(path) - 1 == int(bfs_distances(spec, src)[dst])
+        offsets = set(neighbor_offsets(spec))
+        assert all((v - u) % spec.n in offsets for u, v in zip(path, path[1:]))
+
+    def test_diametral_generatrix_is_sampled(self):
+        # the strategy must reach the single-port n/2 case it exists to cover
+        @settings(max_examples=200, deadline=None)
+        @given(circulants())
+        def collect(spec):
+            seen.add(2 * spec.generatrices[-1] == spec.n)
+
+        seen = set()
+        collect()
+        assert seen == {True, False}
 
 
 class TestEncoding:
@@ -154,6 +211,17 @@ class TestConsume:
         )
         with pytest.raises(CorruptPacketError):
             consume_step(spec, packet)
+
+    def test_foreign_framing_is_corrupt(self):
+        # a packet framed for 3-bit slots must not decode on a 4-bit-slot router
+        packet = build_packet(make_multiplicative(4, 3), 5, 17)
+        with pytest.raises(CorruptPacketError, match="3-bit"):
+            consume_step(make_multiplicative(2, 6), packet)
+        arrived = SourceRoutedPacket(
+            dst=None, path_field=0, bits_per_hop=3, hops_encoded=0, hop_capacity=6
+        )
+        with pytest.raises(CorruptPacketError):
+            consume_step(make_multiplicative(2, 6), arrived)
 
     def test_framing_survives_consumption(self):
         spec = make_multiplicative(2, 6)

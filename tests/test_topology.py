@@ -121,6 +121,10 @@ class TestPorts:
     def test_port_count(self, s, k, count):
         assert port_count(make_multiplicative(s, k)) == count
 
+    def test_port_table_built_once_per_spec(self):
+        assert port_table(make_multiplicative(4, 3)) is port_table(make_multiplicative(4, 3))
+        assert port_table(make_multiplicative(4, 3)) is not port_table(make_multiplicative(2, 6))
+
     def test_code_zero_and_out_of_range_are_not_ports(self):
         table = port_table(make_multiplicative(4, 3))
         for bad in (0, 7, -1):
