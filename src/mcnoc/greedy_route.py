@@ -124,7 +124,7 @@ def stretch_report(spec: CirculantSpec, *, limit: int = 10_000) -> StretchReport
         raise GuardLimitError(f"{spec.label} has {spec.n} nodes, above the {limit} guard")
     n = spec.n
     # greedy hops and BFS distance depend only on the offset (dst - src) mod n
-    dist = _tree(spec)[0]
+    dist = _tree(spec).dist
     total = 0.0
     worst_ratio = 0.0
     stretched = []  # (offset, greedy_hops, shortest_hops) where stretch > 1

@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,10 +57,17 @@ def _bfs(spec: CirculantSpec, src: int) -> tuple[list[int], list[int]]:
     return dist, pred
 
 
+class _Tree(NamedTuple):
+    dist: list[int]
+    pred: list[int]
+    diameter: int
+
+
 @lru_cache(maxsize=8)
-def _tree(spec: CirculantSpec) -> tuple[list[int], list[int]]:
+def _tree(spec: CirculantSpec) -> _Tree:
     """The BFS tree from node 0; by translation, every node's tree."""
-    return _bfs(spec, 0)
+    dist, pred = _bfs(spec, 0)
+    return _Tree(dist, pred, max(dist))
 
 
 def bfs_distances(spec: CirculantSpec, src: int) -> np.ndarray:
@@ -69,7 +77,7 @@ def bfs_distances(spec: CirculantSpec, src: int) -> np.ndarray:
 
 def diameter(spec: CirculantSpec, *, all_pairs: bool = False) -> int:
     if not all_pairs:
-        return max(_tree(spec)[0])
+        return _tree(spec).diameter
     return max(max(_bfs(spec, src)[0]) for src in range(spec.n))
 
 
@@ -77,7 +85,7 @@ def average_distance(spec: CirculantSpec, *, all_pairs: bool = False) -> float:
     """Mean hop distance over ordered pairs (i, j) with i != j."""
     n = spec.n
     if not all_pairs:
-        return sum(_tree(spec)[0]) / (n - 1)
+        return sum(_tree(spec).dist) / (n - 1)
     total = sum(sum(_bfs(spec, src)[0]) for src in range(n))
     return total / (n * (n - 1))
 

@@ -9,27 +9,43 @@ code 0 is the reserved terminator and never names a port.
 
 Routes are node lists (``[src, ..., dst]``), shortest by construction.  They
 come from the spec's one cached BFS tree (see ``metrics``), shifted by the
-source, so every (src, dst) pair maps to one reproducible path.
+source, so every (src, dst) pair maps to one reproducible path.  For the
+same reason the encoded route depends only on the offset (dst - src) mod n:
+``build_packet`` encodes each (spec, offset) once, in a bounded cache, and
+gives every pair its own dst and capacity framing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .metrics import _tree, ceil_log2, diameter
-from .topology import (
-    CirculantSpec,
-    HopAction,
-    neighbor_offsets,
-    port_count,
-    port_table,
-)
+from .topology import CirculantSpec, HopAction, neighbor_offsets, port_table
+
+
+class _Framing(NamedTuple):
+    bits: int
+    by_code: tuple[HopAction | None, ...]  # index 0 is the terminator
+    by_offset: dict[int, HopAction]
+
+
+@lru_cache(maxsize=256)
+def _framing(spec: CirculantSpec) -> _Framing:
+    """Slot width and code/offset lookups of one spec; needs no BFS."""
+    actions = port_table(spec).actions
+    return _Framing(
+        ceil_log2(len(actions) + 1),
+        (None, *actions),
+        dict(zip(neighbor_offsets(spec), actions)),
+    )
 
 
 def bits_per_hop(spec: CirculantSpec) -> int:
     """Width of one hop slot: enough bits for codes 0..port_count."""
-    return ceil_log2(port_count(spec) + 1)
+    return _framing(spec).bits
 
 
 @dataclass(frozen=True)
@@ -68,20 +84,25 @@ def _tree_path(pred: list[int], node: int, shift: int = 0) -> list[int]:
     return [(v + shift) % len(pred) for v in reversed(path)]
 
 
-def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
-    """Deterministic shortest path: the node-0 tree path to dst - src, shifted by src."""
+def _offset(spec: CirculantSpec, src: int, dst: int) -> int:
+    """(dst - src) mod n for two valid nodes: what every route of the pair depends on."""
     n = spec.n
     if not 0 <= src < n:
         raise ValueError(f"source {src} outside 0..{n - 1}")
     if not 0 <= dst < n:
         raise ValueError(f"destination {dst} outside 0..{n - 1}")
-    return _tree_path(_tree(spec)[1], (dst - src) % n, src)
+    return (dst - src) % n
+
+
+def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
+    """Deterministic shortest path: the node-0 tree path to dst - src, shifted by src."""
+    return _tree_path(_tree(spec).pred, _offset(spec, src, dst), src)
 
 
 def path_to_actions(spec: CirculantSpec, path: list[int]) -> list[HopAction]:
     """Translate consecutive node pairs into hop actions."""
     n = spec.n
-    action_of = dict(zip(neighbor_offsets(spec), port_table(spec).actions))
+    action_of = _framing(spec).by_offset
     actions = []
     for u, v in zip(path, path[1:]):
         off = (v - u) % n
@@ -128,7 +149,7 @@ def consume_step(
     Returns ``(None, packet)`` unchanged when the field is all zero, i.e.
     the packet is at its destination.
     """
-    b = bits_per_hop(spec)
+    b, by_code, _ = _framing(spec)
     if packet.bits_per_hop != b:
         raise CorruptPacketError(
             f"packet has {packet.bits_per_hop}-bit hop slots, {spec.label} uses {b}"
@@ -137,15 +158,28 @@ def consume_step(
     if field == 0:
         return None, packet
     code = field & ((1 << b) - 1)
-    table = port_table(spec)
-    if code == 0 or code > len(table):
-        raise CorruptPacketError(f"hop code {code} outside 1..{len(table)}")
-    return table.action(code), replace(packet, path_field=field >> b)
+    if code == 0 or code >= len(by_code):
+        raise CorruptPacketError(f"hop code {code} outside 1..{len(by_code) - 1}")
+    return by_code[code], SourceRoutedPacket(
+        packet.dst, field >> b, b, packet.hops_encoded, packet.hop_capacity
+    )
+
+
+@lru_cache(maxsize=4096)
+def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
+    """Encoded route 0 -> offset; by translation, the route of every pair at that offset."""
+    return encode_path(spec, path_to_actions(spec, _tree_path(_tree(spec).pred, offset)))
 
 
 def build_packet(
     spec: CirculantSpec, src: int, dst: int, hop_capacity: int | None = None
 ) -> SourceRoutedPacket:
-    """Compute the shortest route src -> dst and encode it into a packet."""
-    actions = path_to_actions(spec, shortest_path(spec, src, dst))
-    return encode_path(spec, actions, dst=dst, hop_capacity=hop_capacity)
+    """Encode the shortest route src -> dst, sized for hop_capacity (default: the diameter)."""
+    packet = _offset_packet(spec, _offset(spec, src, dst))
+    if hop_capacity is None:
+        hop_capacity = diameter(spec)
+    if packet.hops_encoded > hop_capacity:
+        raise ValueError(f"{packet.hops_encoded} hops exceed capacity {hop_capacity}")
+    return SourceRoutedPacket(
+        dst, packet.path_field, packet.bits_per_hop, packet.hops_encoded, hop_capacity
+    )

@@ -77,6 +77,13 @@ class CirculantSpec:
                 raise ValueError(f"n={self.n} is not {self.s}**{self.k}")
             if gens != tuple(self.s**j for j in range(self.k)):
                 raise ValueError("generatrices do not form the power ladder of s")
+        # Every route cache is keyed on the spec, so hash once.  Equal specs
+        # share n and generatrices; leaving out s (maybe None, whose hash
+        # varies per process) keeps a pickled hash valid in another process.
+        object.__setattr__(self, "_hash", hash((self.n, gens)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_multiplicative(self) -> bool:

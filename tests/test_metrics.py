@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from conftest import nx_circulant
 from mcnoc import (
     GuardLimitError,
+    TrafficPattern,
     analytic_avg_mc2,
     analytic_diameter_mc2,
     average_distance,
     bfs_distances,
+    build_packet,
     ceil_log2,
     compare_row,
     diameter,
@@ -19,7 +21,9 @@ from mcnoc import (
     mesh_avg,
     mesh_diameter,
     metrics_csv_row,
+    run,
 )
+from mcnoc import metrics
 from mcnoc.metrics import BFS_NODE_LIMIT, METRICS_CSV_HEADER
 
 # brute-force distance values, cross-checked against networkx below
@@ -108,6 +112,25 @@ class TestBruteForce:
         assert average_distance(spec) == pytest.approx(
             average_distance(spec, all_pairs=True), abs=1e-12
         )
+
+    def test_diameter_is_stored_with_the_tree(self, monkeypatch):
+        spec = make_multiplicative(4, 3)
+        assert diameter(spec) == 5
+
+        def no_scan(*args):
+            raise AssertionError("diameter scanned the distances again")
+
+        # later reads, including both default capacities, use the stored value
+        monkeypatch.setattr(metrics, "max", no_scan, raising=False)
+        assert diameter(spec) == 5
+        assert build_packet(spec, 5, 17).hop_capacity == 5
+        assert run(spec, "source_routed", TrafficPattern.single(5, 17)).max_hops == 2
+        monkeypatch.undo()
+        roots = []
+        search = metrics._bfs
+        monkeypatch.setattr(metrics, "_bfs", lambda spec, src: roots.append(src) or search(spec, src))
+        assert diameter(spec, all_pairs=True) == 5
+        assert roots == list(range(spec.n))
 
     def test_profiles_identical_from_every_source(self):
         spec = make_multiplicative(3, 3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import nx_circulant
 from mcnoc import (
     CorruptPacketError,
+    GuardLimitError,
     HopAction,
     SourceRoutedPacket,
     apply_action,
@@ -16,6 +17,7 @@ from mcnoc import (
     bits_per_hop,
     build_packet,
     consume_step,
+    diameter,
     encode_path,
     make_circulant,
     make_multiplicative,
@@ -24,6 +26,8 @@ from mcnoc import (
     port_count,
     shortest_path,
 )
+from mcnoc.metrics import BFS_NODE_LIMIT
+from mcnoc.static_route import _offset_packet
 
 small_specs = st.tuples(st.integers(2, 5), st.integers(1, 4)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 700
@@ -262,3 +266,82 @@ class TestRoundTrip:
         node, hops = walk(spec, src, packet)
         assert node == dst
         assert hops == packet.hops_encoded == int(bfs_distances(spec, src)[dst])
+
+
+def reference_packet(spec, src, dst, cap=None):
+    """The packet the uncached pipeline builds: path, actions, then one encode."""
+    return encode_path(spec, path_to_actions(spec, shortest_path(spec, src, dst)), dst, cap)
+
+
+class TestPacketCache:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_multiplicative(4, 3),
+            make_multiplicative(2, 6),
+            make_multiplicative(3, 3),
+            make_multiplicative(5, 2),
+            make_circulant(16, [1, 8]),
+            make_circulant(30, [2, 3, 15]),
+            make_circulant(20, [3, 10]),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_every_pair_matches_the_uncached_pipeline(self, spec):
+        _offset_packet.cache_clear()
+        d = diameter(spec)
+        for src in range(spec.n):
+            for dst in range(spec.n):
+                hops = len(shortest_path(spec, src, dst)) - 1
+                # twice per pair: the first offset visit misses, every later call hits
+                for cap in (None, None, d + 2, hops, hops):
+                    assert build_packet(spec, src, dst, cap) == reference_packet(
+                        spec, src, dst, cap
+                    )
+        info = _offset_packet.cache_info()
+        assert info.misses == spec.n
+        assert info.hits == 5 * spec.n**2 - spec.n
+
+    @settings(max_examples=150, deadline=None)
+    @given(circulants(), st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 3))
+    def test_general_circulants_match_the_uncached_pipeline(self, spec, a, b, slack):
+        src, dst = a % spec.n, b % spec.n
+        cap = diameter(spec) + slack
+        for _ in range(2):
+            assert build_packet(spec, src, dst) == reference_packet(spec, src, dst)
+            assert build_packet(spec, src, dst, cap) == reference_packet(spec, src, dst, cap)
+
+    def test_cached_entry_is_translated_per_pair(self):
+        # pairs at one offset share an entry but keep their own dst and capacity
+        spec = make_multiplicative(4, 3)
+        a = build_packet(spec, 5, 17)
+        b = build_packet(spec, 6, 18, hop_capacity=9)
+        assert (a.dst, a.hop_capacity, b.dst, b.hop_capacity) == (17, 5, 18, 9)
+        assert a.path_field == b.path_field and a.hops_encoded == b.hops_encoded
+
+    def test_error_messages_are_unchanged(self):
+        spec = make_multiplicative(2, 4)
+        with pytest.raises(ValueError, match=r"^source -1 outside 0\.\.15$"):
+            build_packet(spec, -1, 3)
+        with pytest.raises(ValueError, match=r"^source 16 outside 0\.\.15$"):
+            build_packet(spec, 16, 3, hop_capacity=4)
+        with pytest.raises(ValueError, match=r"^destination 16 outside 0\.\.15$"):
+            build_packet(spec, 0, 16)
+        with pytest.raises(ValueError, match=r"^destination -2 outside 0\.\.15$"):
+            build_packet(spec, 3, -2, hop_capacity=4)
+        with pytest.raises(ValueError, match=r"^2 hops exceed capacity 1$"):
+            build_packet(make_multiplicative(4, 3), 5, 17, hop_capacity=1)
+        with pytest.raises(ValueError, match=r"^0 hops exceed capacity -1$"):
+            build_packet(spec, 4, 4, hop_capacity=-1)
+
+    def test_framing_needs_no_search_above_the_bfs_guard(self):
+        spec = make_multiplicative(2, 21)
+        assert spec.n > BFS_NODE_LIMIT
+        assert bits_per_hop(spec) == 6  # 41 ports: 20 pairs plus the diametral 2**20
+        actions = [HopAction(20, 1), HopAction(3, -1), HopAction(0, 1)]
+        packet = encode_path(spec, actions, dst=None, hop_capacity=3)
+        assert packet.hop_capacity == 3 and packet.hops_encoded == 3
+        node, hops = walk(spec, 7, packet)
+        assert (node, hops) == ((7 + 2**20 - 8 + 1) % spec.n, 3)
+        with pytest.raises(GuardLimitError):
+            build_packet(spec, 0, 1)

@@ -1,5 +1,12 @@
+import copy
+import dataclasses
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +18,7 @@ from mcnoc import (
     GuardLimitError,
     HopAction,
     apply_action,
+    build_packet,
     make_circulant,
     make_multiplicative,
     neighbor_offsets,
@@ -19,6 +27,7 @@ from mcnoc import (
     port_table,
     topology_document,
 )
+from mcnoc.static_route import _offset_packet
 
 small_specs = st.tuples(st.integers(2, 6), st.integers(1, 5)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 2000
@@ -212,3 +221,49 @@ class TestDocument:
         doc = topology_document(spec_from(sk))
         assert [p["code"] for p in doc["ports"]] == list(range(1, len(doc["ports"]) + 1))
         assert math.gcd(doc["n"], *doc["generatrices"]) == 1
+
+
+class TestStoredHash:
+    def test_equal_specs_share_hash_and_cache_entry(self):
+        a, b = make_multiplicative(4, 2), make_circulant(16, [1, 4])
+        assert a is not b and a == b and hash(a) == hash(b)
+        _offset_packet.cache_clear()
+        assert build_packet(a, 0, 5) == build_packet(b, 0, 5)
+        info = _offset_packet.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "spec", [make_multiplicative(4, 2), make_circulant(12, [1, 3])], ids=lambda s: s.label
+    )
+    def test_hash_survives_copies(self, spec):
+        equal = make_circulant(spec.n, list(spec.generatrices))
+        for other in (
+            pickle.loads(pickle.dumps(spec)),
+            copy.copy(spec),
+            copy.deepcopy(spec),
+            dataclasses.replace(spec),
+        ):
+            assert other == equal and hash(other) == hash(equal)
+
+    def test_hash_survives_pickle_from_another_process(self):
+        # s=None: a hash that folded in hash(None) would differ between processes
+        code = (
+            "import pickle, sys; from mcnoc import make_circulant; "
+            "sys.stdout.buffer.write(pickle.dumps(make_circulant(12, [1, 3])))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=20, check=True
+        )
+        spec = make_circulant(12, [1, 3])
+        assert hash(pickle.loads(proc.stdout)) == hash(spec)
+        assert {spec: 1}[pickle.loads(proc.stdout)] == 1
+
+    def test_fields_repr_and_equality_are_unchanged(self):
+        spec = make_multiplicative(4, 2)
+        assert [f.name for f in dataclasses.fields(spec)] == ["s", "k", "n", "generatrices"]
+        assert repr(spec) == "CirculantSpec(s=4, k=2, n=16, generatrices=(1, 4))"
+        assert dataclasses.asdict(spec) == {"s": 4, "k": 2, "n": 16, "generatrices": (1, 4)}
+        assert spec != dataclasses.replace(spec, s=None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.n = 17
