@@ -6,7 +6,8 @@ packet encoding), ``simulate`` (forwarding run), ``memory`` (router bit
 budget), and ``bench`` (route-computation timing sweep).
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed values,
-out-of-range arguments), 2 when a routing or resource invariant is violated.
+out-of-range arguments, an ``--out`` file that cannot be written), 2 when a
+routing or resource invariant is violated.
 All numeric output uses '.' as the decimal separator regardless of locale.
 """
 
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GuardLimitError, CorruptPacketError, RoutingError) as exc:

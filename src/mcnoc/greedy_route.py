@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import GuardLimitError, RoutingError
 from .metrics import _tree
-from .topology import CirculantSpec
+from .topology import CirculantSpec, _check_node
 
 
 class GreedyDecision(NamedTuple):
@@ -34,11 +34,6 @@ class GreedyDecision(NamedTuple):
 def _check_spec(spec: CirculantSpec):
     if not spec.is_multiplicative:
         raise ValueError(f"greedy routing needs a multiplicative circulant, got {spec.label}")
-
-
-def _check_node(spec: CirculantSpec, name: str, v: int):
-    if not 0 <= v < spec.n:
-        raise ValueError(f"{name} {v} outside 0..{spec.n - 1}")
 
 
 def relative_dest(spec: CirculantSpec, current: int, dst: int) -> int:

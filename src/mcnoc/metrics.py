@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardLimitError
-from .topology import CirculantSpec, neighbor_offsets
+from .topology import CirculantSpec, _check_node, neighbor_offsets
 
 # Largest node count the search accepts: a 2**20-node tree already costs
 # seconds and tens of megabytes in pure Python.
@@ -37,8 +37,7 @@ def _bfs(spec: CirculantSpec, src: int) -> tuple[list[int], list[int]]:
     n = spec.n
     if n > BFS_NODE_LIMIT:
         raise GuardLimitError(f"{spec.label} has {n} nodes, above the {BFS_NODE_LIMIT} BFS guard")
-    if not 0 <= src < n:
-        raise ValueError(f"source {src} outside 0..{n - 1}")
+    _check_node(spec, "source", src)
     offsets = neighbor_offsets(spec)
     dist = [-1] * n
     pred = [-1] * n

@@ -21,7 +21,7 @@ from .errors import GuardLimitError, RoutingError
 from .greedy_route import greedy_path
 from .metrics import _bfs, diameter
 from .static_route import _tree_path, build_packet, consume_step
-from .topology import CirculantSpec, apply_action
+from .topology import CirculantSpec, _check_node, apply_action
 
 MODES = ("source_routed", "greedy")
 
@@ -82,10 +82,8 @@ class TrafficPattern:
                     dst = next(draw) % n
                 yield src, dst
         elif self.kind == "single":
-            if not 0 <= self.src < n:
-                raise ValueError(f"source {self.src} outside 0..{n - 1}")
-            if not 0 <= self.dst < n:
-                raise ValueError(f"destination {self.dst} outside 0..{n - 1}")
+            _check_node(spec, "source", self.src)
+            _check_node(spec, "destination", self.dst)
             yield self.src, self.dst
         else:
             raise ValueError(f"unknown traffic kind {self.kind!r}")

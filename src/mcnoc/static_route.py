@@ -5,7 +5,9 @@ packs the codes into one integer bit field.  Each code occupies a fixed
 ``bits_per_hop`` slot; the first hop sits in the least significant slot, so a
 router only ever extracts the low bits, looks up the port, and shifts the
 rest of the field right.  An all-zero field means the packet has arrived:
-code 0 is the reserved terminator and never names a port.
+code 0 is the reserved terminator and never names a port.  The slot width
+and both lookups (code -> action, hop offset -> action) come from the spec's
+one cached port table (see ``topology``), so framing never needs a search.
 
 Routes are node lists (``[src, ..., dst]``), shortest by construction.  They
 come from the spec's one cached BFS tree (see ``metrics``), shifted by the
@@ -19,33 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import CorruptPacketError
-from .metrics import _tree, ceil_log2, diameter
-from .topology import CirculantSpec, HopAction, neighbor_offsets, port_table
-
-
-class _Framing(NamedTuple):
-    bits: int
-    by_code: tuple[HopAction | None, ...]  # index 0 is the terminator
-    by_offset: dict[int, HopAction]
-
-
-@lru_cache(maxsize=256)
-def _framing(spec: CirculantSpec) -> _Framing:
-    """Slot width and code/offset lookups of one spec; needs no BFS."""
-    actions = port_table(spec).actions
-    return _Framing(
-        ceil_log2(len(actions) + 1),
-        (None, *actions),
-        dict(zip(neighbor_offsets(spec), actions)),
-    )
+from .metrics import _tree, diameter
+from .topology import CirculantSpec, HopAction, _check_node, port_table
 
 
 def bits_per_hop(spec: CirculantSpec) -> int:
     """Width of one hop slot: enough bits for codes 0..port_count."""
-    return _framing(spec).bits
+    return len(port_table(spec)).bit_length()
 
 
 @dataclass(frozen=True)
@@ -86,12 +70,9 @@ def _tree_path(pred: list[int], node: int, shift: int = 0) -> list[int]:
 
 def _offset(spec: CirculantSpec, src: int, dst: int) -> int:
     """(dst - src) mod n for two valid nodes: what every route of the pair depends on."""
-    n = spec.n
-    if not 0 <= src < n:
-        raise ValueError(f"source {src} outside 0..{n - 1}")
-    if not 0 <= dst < n:
-        raise ValueError(f"destination {dst} outside 0..{n - 1}")
-    return (dst - src) % n
+    _check_node(spec, "source", src)
+    _check_node(spec, "destination", dst)
+    return (dst - src) % spec.n
 
 
 def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
@@ -102,7 +83,7 @@ def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
 def path_to_actions(spec: CirculantSpec, path: list[int]) -> list[HopAction]:
     """Translate consecutive node pairs into hop actions."""
     n = spec.n
-    action_of = _framing(spec).by_offset
+    action_of = port_table(spec).by_offset
     actions = []
     for u, v in zip(path, path[1:]):
         off = (v - u) % n
@@ -149,7 +130,8 @@ def consume_step(
     Returns ``(None, packet)`` unchanged when the field is all zero, i.e.
     the packet is at its destination.
     """
-    b, by_code, _ = _framing(spec)
+    actions = port_table(spec).actions
+    b = len(actions).bit_length()
     if packet.bits_per_hop != b:
         raise CorruptPacketError(
             f"packet has {packet.bits_per_hop}-bit hop slots, {spec.label} uses {b}"
@@ -158,9 +140,9 @@ def consume_step(
     if field == 0:
         return None, packet
     code = field & ((1 << b) - 1)
-    if code == 0 or code >= len(by_code):
-        raise CorruptPacketError(f"hop code {code} outside 1..{len(by_code) - 1}")
-    return by_code[code], SourceRoutedPacket(
+    if code == 0 or code > len(actions):
+        raise CorruptPacketError(f"hop code {code} outside 1..{len(actions)}")
+    return actions[code - 1], SourceRoutedPacket(
         packet.dst, field >> b, b, packet.hops_encoded, packet.hop_capacity
     )
 

@@ -133,7 +133,13 @@ def _infer_base(n: int, gens: tuple[int, ...]) -> int | None:
 
 
 class PortTable:
-    """Bidirectional map between port codes (1-based) and hop actions."""
+    """Bidirectional map between port codes (1-based) and hop actions.
+
+    ``actions`` lists every action in ascending port-code order (code =
+    index + 1).  ``offsets`` holds each port's hop offset mod n in the same
+    order, the same at every node, and ``by_offset`` maps an offset back to
+    its action.
+    """
 
     def __init__(self, spec: CirculantSpec):
         actions: list[HopAction] = []
@@ -144,21 +150,18 @@ class PortTable:
             else:
                 actions.append(HopAction(j, -1))
                 actions.append(HopAction(j, +1))
-        self._actions = tuple(actions)
+        self.actions = tuple(actions)
         self._code_of = {action: code for code, action in enumerate(actions, start=1)}
+        self.offsets = tuple((a.sign * spec.generatrices[a.gen_index]) % spec.n for a in actions)
+        self.by_offset = dict(zip(self.offsets, actions))
 
     def __len__(self) -> int:
-        return len(self._actions)
-
-    @property
-    def actions(self) -> tuple[HopAction, ...]:
-        """All actions in ascending port-code order (code = index + 1)."""
-        return self._actions
+        return len(self.actions)
 
     def action(self, code: PortCode) -> HopAction:
-        if not 1 <= code <= len(self._actions):
-            raise ValueError(f"port code {code} outside 1..{len(self._actions)}")
-        return self._actions[code - 1]
+        if not 1 <= code <= len(self.actions):
+            raise ValueError(f"port code {code} outside 1..{len(self.actions)}")
+        return self.actions[code - 1]
 
     def code(self, action: HopAction) -> PortCode:
         try:
@@ -184,16 +187,17 @@ def apply_action(spec: CirculantSpec, v: int, action: HopAction) -> int:
 
 def neighbor_offsets(spec: CirculantSpec) -> tuple[int, ...]:
     """Hop offsets mod n, one per port, in ascending port-code order."""
-    n = spec.n
-    return tuple(
-        (a.sign * spec.generatrices[a.gen_index]) % n for a in port_table(spec).actions
-    )
+    return port_table(spec).offsets
+
+
+def _check_node(spec: CirculantSpec, name: str, v: int):
+    if not 0 <= v < spec.n:
+        raise ValueError(f"{name} {v} outside 0..{spec.n - 1}")
 
 
 def neighbors(spec: CirculantSpec, v: int) -> list[tuple[int, HopAction]]:
     """(neighbour, action) pairs of node v in ascending port-code order."""
-    if not 0 <= v < spec.n:
-        raise ValueError(f"node {v} outside 0..{spec.n - 1}")
+    _check_node(spec, "node", v)
     return [(apply_action(spec, v, a), a) for a in port_table(spec).actions]
 
 

@@ -30,6 +30,12 @@ class TestGen:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["ports"][0]["gen"] == 8
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "topo.json"
+        code, out, err = run_cli(capsys, "gen", "--s", "2", "--k", "4", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
 
 class TestMetrics:
     def test_csv(self, capsys):

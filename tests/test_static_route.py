@@ -24,6 +24,7 @@ from mcnoc import (
     neighbor_offsets,
     path_to_actions,
     port_count,
+    port_table,
     shortest_path,
 )
 from mcnoc.metrics import BFS_NODE_LIMIT
@@ -133,6 +134,13 @@ class TestTranslationInvariance:
         assert len(path) - 1 == int(bfs_distances(spec, src)[dst])
         offsets = set(neighbor_offsets(spec))
         assert all((v - u) % spec.n in offsets for u, v in zip(path, path[1:]))
+        # the one port table: its offsets, a minimal slot width, its offset map
+        actions = port_table(spec).actions
+        assert neighbor_offsets(spec) == tuple(apply_action(spec, 0, a) for a in actions)
+        b = bits_per_hop(spec)
+        assert 2 ** (b - 1) <= port_count(spec) < 2**b
+        for a in actions:
+            assert path_to_actions(spec, [src, apply_action(spec, src, a)]) == [a]
 
     def test_diametral_generatrix_is_sampled(self):
         # the strategy must reach the single-port n/2 case it exists to cover
@@ -201,30 +209,33 @@ class TestConsume:
         assert action is None and same == packet
 
     def test_out_of_range_code_is_corrupt(self):
-        spec = make_multiplicative(4, 3)
-        packet = SourceRoutedPacket(
-            dst=None, path_field=7, bits_per_hop=3, hops_encoded=1, hop_capacity=5
-        )
-        with pytest.raises(CorruptPacketError):
-            consume_step(spec, packet)
+        # MC(2,3) has a diametral port: 5 ports in 3-bit slots leave codes 6 and 7 unused
+        for (s, k), code, ports in [((4, 3), 7, 6), ((2, 3), 6, 5), ((2, 3), 7, 5)]:
+            packet = SourceRoutedPacket(
+                dst=None, path_field=code, bits_per_hop=3, hops_encoded=1, hop_capacity=5
+            )
+            message = rf"^hop code {code} outside 1\.\.{ports}$"
+            with pytest.raises(CorruptPacketError, match=message):
+                consume_step(make_multiplicative(s, k), packet)
 
     def test_zero_code_with_pending_bits_is_corrupt(self):
         spec = make_multiplicative(4, 3)
         packet = SourceRoutedPacket(
             dst=None, path_field=0b001_000, bits_per_hop=3, hops_encoded=2, hop_capacity=5
         )
-        with pytest.raises(CorruptPacketError):
+        with pytest.raises(CorruptPacketError, match=r"^hop code 0 outside 1\.\.6$"):
             consume_step(spec, packet)
 
     def test_foreign_framing_is_corrupt(self):
         # a packet framed for 3-bit slots must not decode on a 4-bit-slot router
         packet = build_packet(make_multiplicative(4, 3), 5, 17)
-        with pytest.raises(CorruptPacketError, match="3-bit"):
+        message = r"^packet has 3-bit hop slots, MC\(2,6\) uses 4$"
+        with pytest.raises(CorruptPacketError, match=message):
             consume_step(make_multiplicative(2, 6), packet)
         arrived = SourceRoutedPacket(
             dst=None, path_field=0, bits_per_hop=3, hops_encoded=0, hop_capacity=6
         )
-        with pytest.raises(CorruptPacketError):
+        with pytest.raises(CorruptPacketError, match=message):
             consume_step(make_multiplicative(2, 6), arrived)
 
     def test_framing_survives_consumption(self):
