@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import GuardLimitError
 from .topology import CirculantSpec, _check_node, neighbor_offsets
 
@@ -71,6 +69,8 @@ def _tree(spec: CirculantSpec) -> _Tree:
 
 def bfs_distances(spec: CirculantSpec, src: int) -> np.ndarray:
     """Hop distance from src to every node, as an int64 array of length n."""
+    import numpy as np  # on first use, so importing the package or the CLI never loads numpy
+
     return np.asarray(_bfs(spec, src)[0], dtype=np.int64)
 
 

@@ -2,9 +2,10 @@
 
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
-a run is simply the longest hop count among its packets.  Delivery is
-checked packet by packet; a packet that stops anywhere but its destination
-aborts the run with a RoutingError rather than being dropped silently.
+a run is simply the longest hop count among its packets.  Source routing
+walks the packet's integer path field, as a router does.  Delivery is checked
+packet by packet; a packet that stops anywhere but its destination aborts the
+run with a RoutingError rather than being dropped silently.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32``, so a seed produces the
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from .errors import GuardLimitError, RoutingError
 from .greedy_route import greedy_path
 from .metrics import _bfs, diameter
-from .static_route import _tree_path, build_packet, consume_step
-from .topology import CirculantSpec, _check_node, apply_action
+from .static_route import _by_code, _tree_path, bits_per_hop, build_packet
+from .topology import CirculantSpec, _check_node, port_table
 
 MODES = ("source_routed", "greedy")
 
@@ -102,21 +103,6 @@ class SimReport:
     total_cycles: int
 
 
-def _source_routed_hops(spec: CirculantSpec, src: int, dst: int, hop_capacity: int) -> int:
-    packet = build_packet(spec, src, dst, hop_capacity=hop_capacity)
-    node = src
-    hops = 0
-    while True:
-        action, packet = consume_step(spec, packet)
-        if action is None:
-            break
-        node = apply_action(spec, node, action)
-        hops += 1
-    if node != dst:
-        raise RoutingError(f"packet for {dst} stopped at {node}")
-    return hops
-
-
 def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) -> SimReport:
     """Inject the traffic pattern, forward every packet, and tally the run.
 
@@ -127,9 +113,21 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "source_routed":
         capacity = diameter(spec)
+        offsets = port_table(spec).offsets
+        b = bits_per_hop(spec)
+        mask = (1 << b) - 1
 
         def hops_of(src: int, dst: int) -> int:
-            return _source_routed_hops(spec, src, dst, capacity)
+            field = build_packet(spec, src, dst, hop_capacity=capacity).path_field
+            node = src
+            hops = 0
+            while field:
+                node = (node + _by_code(offsets, field & mask)) % spec.n
+                field >>= b
+                hops += 1
+            if node != dst:
+                raise RoutingError(f"packet for {dst} stopped at {node}")
+            return hops
 
     else:
 

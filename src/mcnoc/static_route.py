@@ -122,6 +122,12 @@ def encode_path(
     )
 
 
+def _by_code(per_port: tuple, code: int):
+    if code == 0 or code > len(per_port):
+        raise CorruptPacketError(f"hop code {code} outside 1..{len(per_port)}")
+    return per_port[code - 1]
+
+
 def consume_step(
     spec: CirculantSpec, packet: SourceRoutedPacket
 ) -> tuple[HopAction | None, SourceRoutedPacket]:
@@ -130,8 +136,7 @@ def consume_step(
     Returns ``(None, packet)`` unchanged when the field is all zero, i.e.
     the packet is at its destination.
     """
-    actions = port_table(spec).actions
-    b = len(actions).bit_length()
+    b = bits_per_hop(spec)
     if packet.bits_per_hop != b:
         raise CorruptPacketError(
             f"packet has {packet.bits_per_hop}-bit hop slots, {spec.label} uses {b}"
@@ -139,10 +144,7 @@ def consume_step(
     field = packet.path_field
     if field == 0:
         return None, packet
-    code = field & ((1 << b) - 1)
-    if code == 0 or code > len(actions):
-        raise CorruptPacketError(f"hop code {code} outside 1..{len(actions)}")
-    return actions[code - 1], SourceRoutedPacket(
+    return _by_code(port_table(spec).actions, field & ((1 << b) - 1)), SourceRoutedPacket(
         packet.dst, field >> b, b, packet.hops_encoded, packet.hop_capacity
     )
 

@@ -102,6 +102,9 @@ def make_multiplicative(s: int, k: int) -> CirculantSpec:
         raise ValueError(f"base s must be >= 2, got {s}")
     if k < 1:
         raise ValueError(f"dimension k must be >= 1, got {k}")
+    if k >= MAX_NODES.bit_length() or s > MAX_NODES:
+        # s**k >= 2**k > MAX_NODES or s**k >= s > MAX_NODES: refuse before forming s**k
+        raise GuardLimitError(f"MC({s},{k}) has {s}**{k} nodes, above the {MAX_NODES} guard")
     n = s**k
     if n > MAX_NODES:
         raise GuardLimitError(f"MC({s},{k}) has {n} nodes, above the {MAX_NODES} guard")

@@ -181,6 +181,25 @@ class TestExitCodes:
         assert proc.stderr.startswith("invariant violation:")
         assert "BFS guard" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--s", "3", "--k", "1000000"),
+            ("memory", "--s", "9" * 2000, "--k", "30"),
+        ],
+    )
+    def test_node_count_guard_refuses_promptly(self, argv):
+        # s**k would take seconds to form, and its digits overflow the int -> str limit
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcnoc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("invariant violation:")
+        assert "guard" in proc.stderr
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
@@ -205,3 +224,15 @@ class TestDeterminism:
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
         assert first[1]  # something was printed
+
+
+def test_cli_import_leaves_numpy_out():
+    # only bfs_distances needs numpy, and no subcommand calls it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mcnoc.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -3,11 +3,14 @@ import json
 import pytest
 
 from mcnoc import (
+    CorruptPacketError,
     GuardLimitError,
+    SourceRoutedPacket,
     TrafficPattern,
     average_distance,
     bench_route_computation,
     bfs_distances,
+    consume_step,
     diameter,
     make_circulant,
     make_multiplicative,
@@ -110,10 +113,37 @@ class TestRun:
         assert report.avg_hops == 0.0 and report.total_cycles == 0
 
     def test_source_routed_works_on_general_circulant(self):
-        spec = make_circulant(12, [1, 3])
-        report = run(spec, "source_routed", TrafficPattern.all_pairs())
-        assert report.delivered == 132
-        assert report.avg_hops == pytest.approx(average_distance(spec), abs=1e-12)
+        # C(16;1,8) and C(20;3,10) carry a diametral generatrix: one port, two directions
+        for n, gens in [(12, [1, 3]), (16, [1, 8]), (20, [3, 10])]:
+            spec = make_circulant(n, gens)
+            report = run(spec, "source_routed", TrafficPattern.all_pairs())
+            assert report.delivered == n * (n - 1)
+            assert report.avg_hops == pytest.approx(average_distance(spec), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "field, hops, code",
+        [
+            (0b001_000, 2, 0),  # a 0 slot (the terminator) under a pending hop
+            (6, 1, 6),  # MC(2,3) has 5 ports in 3-bit slots: codes 6 and 7 name none
+            (7, 1, 7),
+            (0b111_001, 2, 7),  # one good hop, then an unused code
+        ],
+    )
+    def test_corrupt_field_aborts_the_run(self, monkeypatch, field, hops, code):
+        spec = make_multiplicative(2, 3)
+
+        def corrupt(spec, src, dst, hop_capacity=None):
+            return SourceRoutedPacket(dst, field, 3, hops, hop_capacity)
+
+        packet = corrupt(spec, 0, 1, 3)
+        with pytest.raises(CorruptPacketError) as stepped:
+            while packet.path_field:
+                packet = consume_step(spec, packet)[1]
+        assert str(stepped.value) == f"hop code {code} outside 1..5"
+        monkeypatch.setattr(simulator, "build_packet", corrupt)
+        with pytest.raises(CorruptPacketError) as walked:
+            run(spec, "source_routed", TrafficPattern.single(0, 1))
+        assert str(walked.value) == str(stepped.value)
 
     def test_greedy_needs_multiplicative(self):
         spec = make_circulant(12, [1, 3])

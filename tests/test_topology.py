@@ -28,6 +28,7 @@ from mcnoc import (
     topology_document,
 )
 from mcnoc.static_route import _offset_packet
+from mcnoc.topology import MAX_NODES
 
 small_specs = st.tuples(st.integers(2, 6), st.integers(1, 5)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 2000
@@ -102,6 +103,20 @@ class TestConstruction:
     def test_node_count_guard(self):
         with pytest.raises(GuardLimitError):
             make_multiplicative(2, 40)
+
+    def test_node_count_guard_before_the_power(self):
+        # 3**10000 has 4772 digits, past the int -> str limit; the guard never forms it
+        message = r"^MC\(3,10000\) has 3\*\*10000 nodes, above the 2147483647 guard$"
+        with pytest.raises(GuardLimitError, match=message):
+            make_multiplicative(3, 10_000)
+        with pytest.raises(GuardLimitError, match=r"^MC\(2,31\) has 2\*\*31 nodes"):
+            make_multiplicative(2, 31)
+        with pytest.raises(GuardLimitError, match=r"^MC\(2147483648,1\) has 2147483648\*\*1 "):
+            make_multiplicative(MAX_NODES + 1, 1)
+        # below both bounds the message still prints n
+        with pytest.raises(GuardLimitError, match=r"^MC\(46341,2\) has 2147488281 nodes"):
+            make_multiplicative(46341, 2)
+        assert make_multiplicative(2, 30).n == 2**30
 
 
 class TestPorts:
