@@ -1,10 +1,19 @@
 """Distance metrics for circulants and the square-mesh reference formulas.
 
 One breadth-first search, in ascending port-code order with the first-found
-predecessor kept, serves the package.  Circulants are vertex transitive, so
-the tree from node 0, shifted by src, is the tree from src: each spec needs
-one cached tree, which diameter, average distance and every source route
-read.  Pass ``all_pairs=True`` to re-derive the metrics from every source.
+predecessor kept, serves the general circulants.  Circulants are vertex
+transitive, so the tree from node 0, shifted by src, is the tree from src:
+each spec needs one cached tree, which diameter, average distance and every
+source route read.  Pass ``all_pairs=True`` to re-derive the metrics from
+every source.
+
+MC(s, k) needs no tree.  An offset x is reached by c_j hops along s**j with
+x = sum c_j * s**j (mod s**k), at cost sum |c_j|, and a digit DP over the
+base-s digits of x finds the least cost (``_digit_hops``); summed over every
+x it gives the diameter and the distance total (``_digit_distances``).  The
+route the search records is the least port-code sequence among shortest
+paths, so the DP returns that route too (see README).  Both keep the search's
+node guard.
 """
 
 from __future__ import annotations
@@ -30,12 +39,18 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def _check_size(spec: CirculantSpec):
+    if spec.n > BFS_NODE_LIMIT:
+        raise GuardLimitError(
+            f"{spec.label} has {spec.n} nodes, above the {BFS_NODE_LIMIT} BFS guard"
+        )
+
+
 def _bfs(spec: CirculantSpec, src: int) -> tuple[list[int], list[int]]:
     """Hop distance and BFS-tree predecessor of every node, seen from src."""
-    n = spec.n
-    if n > BFS_NODE_LIMIT:
-        raise GuardLimitError(f"{spec.label} has {n} nodes, above the {BFS_NODE_LIMIT} BFS guard")
+    _check_size(spec)
     _check_node(spec, "source", src)
+    n = spec.n
     offsets = neighbor_offsets(spec)
     dist = [-1] * n
     pred = [-1] * n
@@ -58,13 +73,100 @@ class _Tree(NamedTuple):
     dist: list[int]
     pred: list[int]
     diameter: int
+    total: int
 
 
 @lru_cache(maxsize=8)
 def _tree(spec: CirculantSpec) -> _Tree:
     """The BFS tree from node 0; by translation, every node's tree."""
     dist, pred = _bfs(spec, 0)
-    return _Tree(dist, pred, max(dist))
+    return _Tree(dist, pred, max(dist), sum(dist))
+
+
+# Digit j of x, with carry t in {0, 1} from below, leaves v = r_j + t to
+# cover: c_j = v with carry 0 out, or c_j = v - s with carry 1 out.  Low
+# digits need no other choice, since s hops along s**j cost more than one
+# along s**(j+1).  The top digit drops its carry.
+
+
+def _carries(s: int, r: int, cost: tuple) -> tuple:
+    """Least costs with carry 0 and 1 out of low digit r, from those with carry 0 and 1 in."""
+    in0, in1 = cost
+    return min(in0 + r, in1 + r + 1), min(in0 + s - r, in1 + s - r - 1)
+
+
+def _top(s: int, v: int) -> int:
+    """Top coefficient: the least |c| with c = v (mod s), the minus side on a tie."""
+    c = v % s
+    return c - s if 2 * c >= s else c
+
+
+def _digit_hops(s: int, k: int, x: int) -> list[int]:
+    """Hop counts c_0..c_(k-1) of the route the node-0 search records to x on MC(s, k).
+
+    Among least-cost vectors it takes the most hops on the first port code:
+    the most negative c_(k-1), else the largest, then the same for c_(k-2),
+    and so on down.  At a low digit that means a carry in unlike the carry
+    out whenever the costs allow it.
+    """
+    digits = []
+    for _ in range(k):
+        x, r = divmod(x, s)
+        digits.append(r)
+    costs = [(0, math.inf)]  # costs[j]: least cost of digits below j, per carry into j
+    for r in digits[:-1]:
+        costs.append(_carries(s, r, costs[-1]))
+    in0, in1 = costs[-1]
+    a, b = _top(s, digits[-1]), _top(s, digits[-1] + 1)
+    ta, tb = in0 + abs(a), in1 + abs(b)
+    carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
+    hops = [b if carry else a]
+    for j in range(k - 2, -1, -1):
+        r = digits[j]
+        t = 1 - carry
+        c = r + t - s * carry
+        if costs[j][t] + abs(c) != costs[j + 1][carry]:
+            t = carry
+            c = r + t - s * carry
+        hops.append(c)
+        carry = t
+    hops.reverse()
+    return hops
+
+
+class _Sums(NamedTuple):
+    diameter: int
+    total: int
+
+
+@lru_cache(maxsize=256)
+def _digit_distances(spec: CirculantSpec) -> _Sums:
+    """Diameter and distance total over every offset of MC(s, k), in O(k * s**2)."""
+    _check_size(spec)
+    s = spec.s
+    # The costs per carry, less the carry-0 cost, form the state d; per d keep
+    # the count of digit prefixes, and the sum and max of their carry-0 cost.
+    states = {math.inf: (1, 0, 0)}
+    for _ in range(spec.k - 1):
+        grown: dict = {}
+        for d, (count, total, worst) in states.items():
+            for r in range(s):
+                out0, out1 = _carries(s, r, (0, d))
+                c, t, w = grown.get(out1 - out0, (0, 0, 0))
+                grown[out1 - out0] = (c + count, t + total + count * out0, max(w, worst + out0))
+        states = grown
+    diameter = total_cost = 0
+    for d, (count, total, worst) in states.items():
+        for r in range(s):
+            last = min(abs(_top(s, r)), d + abs(_top(s, r + 1)))
+            total_cost += total + count * last
+            diameter = max(diameter, worst + last)
+    return _Sums(diameter, total_cost)
+
+
+def _distances(spec: CirculantSpec):
+    """The cached record holding ``diameter`` and ``total`` of spec's distance profile."""
+    return _digit_distances(spec) if spec.is_multiplicative else _tree(spec)
 
 
 def bfs_distances(spec: CirculantSpec, src: int) -> np.ndarray:
@@ -76,7 +178,7 @@ def bfs_distances(spec: CirculantSpec, src: int) -> np.ndarray:
 
 def diameter(spec: CirculantSpec, *, all_pairs: bool = False) -> int:
     if not all_pairs:
-        return _tree(spec).diameter
+        return _distances(spec).diameter
     return max(max(_bfs(spec, src)[0]) for src in range(spec.n))
 
 
@@ -84,7 +186,7 @@ def average_distance(spec: CirculantSpec, *, all_pairs: bool = False) -> float:
     """Mean hop distance over ordered pairs (i, j) with i != j."""
     n = spec.n
     if not all_pairs:
-        return sum(_tree(spec).dist) / (n - 1)
+        return _distances(spec).total / (n - 1)
     total = sum(sum(_bfs(spec, src)[0]) for src in range(n))
     return total / (n * (n - 1))
 

@@ -9,12 +9,16 @@ code 0 is the reserved terminator and never names a port.  The slot width
 and both lookups (code -> action, hop offset -> action) come from the spec's
 one cached port table (see ``topology``), so framing never needs a search.
 
-Routes are node lists (``[src, ..., dst]``), shortest by construction.  They
-come from the spec's one cached BFS tree (see ``metrics``), shifted by the
-source, so every (src, dst) pair maps to one reproducible path.  For the
-same reason the encoded route depends only on the offset (dst - src) mod n:
-``build_packet`` encodes each (spec, offset) once, in a bounded cache, and
-gives every pair its own dst and capacity framing.
+Routes are node lists (``[src, ..., dst]``), shortest by construction: the
+route from node 0 to the offset (dst - src) mod n, shifted by the source, so
+every (src, dst) pair maps to one reproducible path.  That route is the one
+a breadth-first search from node 0 records (FIFO, ascending port codes,
+first-found predecessor), which is the least port-code sequence among the
+shortest paths.  On MC(s, k) the digit DP in ``metrics`` computes it per
+offset; a general circulant walks its one cached BFS tree.  Because the
+encoded route depends only on the offset too, ``build_packet`` encodes each
+(spec, offset) once, in a bounded cache, and gives every pair its own dst
+and capacity framing.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CorruptPacketError
-from .metrics import _tree, diameter
+from .metrics import _check_size, _digit_hops, _tree, diameter
 from .topology import CirculantSpec, HopAction, _check_node, port_table
 
 
@@ -59,13 +63,29 @@ class SourceRoutedPacket:
         )
 
 
-def _tree_path(pred: list[int], node: int, shift: int = 0) -> list[int]:
-    """Nodes from the tree's root (its own predecessor) to node, each moved by shift."""
+def _tree_path(pred: list[int], node: int) -> list[int]:
+    """Nodes from the tree's root (its own predecessor) to node."""
     path = [node]
     while pred[node] != node:
         node = pred[node]
         path.append(node)
-    return [(v + shift) % len(pred) for v in reversed(path)]
+    path.reverse()
+    return path
+
+
+def _route(spec: CirculantSpec, offset: int) -> list[int]:
+    """Nodes of the route 0 -> offset that a breadth-first search from node 0 records."""
+    if not spec.is_multiplicative:
+        return _tree_path(_tree(spec).pred, offset)
+    _check_size(spec)
+    n = spec.n
+    path = [0]
+    # ascending port codes: largest generatrix first, minus before plus
+    for g, c in zip(reversed(spec.generatrices), reversed(_digit_hops(spec.s, spec.k, offset))):
+        step = g if c > 0 else n - g
+        for _ in range(abs(c)):
+            path.append((path[-1] + step) % n)
+    return path
 
 
 def _offset(spec: CirculantSpec, src: int, dst: int) -> int:
@@ -76,8 +96,10 @@ def _offset(spec: CirculantSpec, src: int, dst: int) -> int:
 
 
 def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
-    """Deterministic shortest path: the node-0 tree path to dst - src, shifted by src."""
-    return _tree_path(_tree(spec).pred, _offset(spec, src, dst), src)
+    """Deterministic shortest path: the node-0 route to dst - src, shifted by src."""
+    _check_size(spec)  # the size guard comes before the node checks
+    n = spec.n
+    return [(v + src) % n for v in _route(spec, _offset(spec, src, dst))]
 
 
 def path_to_actions(spec: CirculantSpec, path: list[int]) -> list[HopAction]:
@@ -152,7 +174,7 @@ def consume_step(
 @lru_cache(maxsize=4096)
 def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
     """Encoded route 0 -> offset; by translation, the route of every pair at that offset."""
-    return encode_path(spec, path_to_actions(spec, _tree_path(_tree(spec).pred, offset)))
+    return encode_path(spec, path_to_actions(spec, _route(spec, offset)))
 
 
 def build_packet(

@@ -96,14 +96,23 @@ class CirculantSpec:
         return f"C({self.n};{','.join(str(g) for g in self.generatrices)})"
 
 
+def _int_text(v: int) -> str:
+    """v in decimal, or its bit width where the decimal form passes the int -> str limit."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"{'-' if v < 0 else ''}<{v.bit_length()}-bit integer>"
+
+
 def make_multiplicative(s: int, k: int) -> CirculantSpec:
     """Build MC(s, k): n = s**k nodes with generatrices s**0 .. s**(k-1)."""
     if s < 2:
-        raise ValueError(f"base s must be >= 2, got {s}")
+        raise ValueError(f"base s must be >= 2, got {_int_text(s)}")
     if k < 1:
-        raise ValueError(f"dimension k must be >= 1, got {k}")
+        raise ValueError(f"dimension k must be >= 1, got {_int_text(k)}")
     if k >= MAX_NODES.bit_length() or s > MAX_NODES:
         # s**k >= 2**k > MAX_NODES or s**k >= s > MAX_NODES: refuse before forming s**k
+        s, k = _int_text(s), _int_text(k)
         raise GuardLimitError(f"MC({s},{k}) has {s}**{k} nodes, above the {MAX_NODES} guard")
     n = s**k
     if n > MAX_NODES:

@@ -13,10 +13,25 @@ from mcnoc import (
     relative_dest,
     stretch_report,
 )
+from mcnoc.metrics import _digit_hops
+from mcnoc.topology import MAX_NODES
 
 small_specs = st.tuples(st.integers(2, 6), st.integers(1, 4)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 1300
 )
+
+
+@st.composite
+def ladder_offsets(draw):
+    """(s, k, src, dst) over MC(s, k) up to MAX_NODES nodes; rings stay below
+    10**5 nodes, where greedy walks one step per hop."""
+    k = draw(st.integers(1, MAX_NODES.bit_length() - 1))
+    top = 10**5 if k == 1 else int(MAX_NODES ** (1 / k)) + 1
+    while top**k > MAX_NODES:
+        top -= 1
+    s = draw(st.integers(3 if k == 1 else 2, top))
+    n = s**k
+    return s, k, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
 
 
 def cyclic_distance(n, a, b):
@@ -142,6 +157,16 @@ class TestStretch:
             for dst in range(spec.n):
                 if dst != src:
                     assert len(greedy_path(spec, src, dst)) - 1 == int(dist[dst])
+
+    @settings(max_examples=300, deadline=None)
+    @given(ladder_offsets())
+    def test_greedy_hops_equal_the_digit_dp_distance(self, case):
+        # a third distance oracle, exact at any size: the least sum |c_j| over
+        # hop vectors with sum c_j * s**j = dst - src (mod s**k)
+        s, k, src, dst = case
+        spec = make_multiplicative(s, k)
+        hops = _digit_hops(s, k, (dst - src) % spec.n)
+        assert len(greedy_path(spec, src, dst)) - 1 == sum(abs(c) for c in hops)
 
     def test_size_guard(self):
         with pytest.raises(GuardLimitError):

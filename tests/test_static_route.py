@@ -12,10 +12,13 @@ from mcnoc import (
     GuardLimitError,
     HopAction,
     SourceRoutedPacket,
+    TrafficPattern,
     apply_action,
+    average_distance,
     bfs_distances,
     bits_per_hop,
     build_packet,
+    compare_row,
     consume_step,
     diameter,
     encode_path,
@@ -25,10 +28,12 @@ from mcnoc import (
     path_to_actions,
     port_count,
     port_table,
+    run,
     shortest_path,
 )
-from mcnoc.metrics import BFS_NODE_LIMIT
-from mcnoc.static_route import _offset_packet
+from mcnoc import metrics, static_route
+from mcnoc.metrics import BFS_NODE_LIMIT, _bfs, _digit_distances
+from mcnoc.static_route import _offset_packet, _route, _tree_path
 
 small_specs = st.tuples(st.integers(2, 5), st.integers(1, 4)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 700
@@ -152,6 +157,126 @@ class TestTranslationInvariance:
         seen = set()
         collect()
         assert seen == {True, False}
+
+
+def port_steps(spec):
+    """Hop offsets in port-code order, from the numbering rule alone: largest
+    generatrix first, minus before plus, a diametral generatrix once."""
+    steps = []
+    for g in reversed(spec.generatrices):
+        for step in (-g % spec.n, g):
+            if step not in steps:
+                steps.append(step)
+    return steps
+
+
+def least_code_path(spec, steps, lengths, src):
+    """From src, take the least port code that stays on a shortest path, until
+    the distance reaches 0; ``lengths[v]`` is v's hop distance to the target."""
+    path = [src]
+    while lengths[path[-1]]:
+        u = path[-1]
+        path.append(next((u + d) % spec.n for d in steps if lengths[(u + d) % spec.n] < lengths[u]))
+    return path
+
+
+def multiplicative_specs(limit, ring_limit):
+    """Every MC(s, k) with k >= 2 and n <= limit, and the rings MC(s, 1) with s <= ring_limit."""
+    specs = [make_multiplicative(s, 1) for s in range(3, ring_limit + 1)]
+    for k in range(2, limit.bit_length()):
+        s = 2
+        while s**k <= limit:
+            specs.append(make_multiplicative(s, k))
+            s += 1
+    return specs
+
+
+class TestTieRule:
+    """``shortest_path`` returns the least port-code sequence among shortest paths."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_multiplicative(2, 5),
+            make_multiplicative(3, 3),
+            make_multiplicative(4, 3),
+            make_multiplicative(6, 2),
+            make_multiplicative(7, 2),
+            make_multiplicative(10, 1),
+            make_circulant(16, [1, 8]),
+            make_circulant(30, [2, 3, 15]),
+            make_circulant(64, [1, 5, 32]),
+            make_circulant(97, [3, 10, 41]),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_every_pair_against_networkx_distances(self, spec):
+        graph = nx_circulant(spec)
+        steps = port_steps(spec)
+        for dst in range(spec.n):
+            lengths = nx.single_source_shortest_path_length(graph, dst)
+            for src in range(spec.n):
+                assert shortest_path(spec, src, dst) == least_code_path(spec, steps, lengths, src)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(circulants(), small_specs.map(lambda sk: make_multiplicative(*sk))),
+        st.integers(0, 10**6),
+    )
+    def test_every_source_against_search_distances(self, spec, b):
+        dst = b % spec.n
+        steps = port_steps(spec)
+        lengths = bfs_distances(spec, dst).tolist()
+        for src in range(spec.n):
+            assert shortest_path(spec, src, dst) == least_code_path(spec, steps, lengths, src)
+
+    def test_digit_dp_is_the_search_up_to_4096_nodes(self):
+        # every offset's DP route is the node-0 tree path, and the DP's
+        # diameter and distance total are the tree's
+        specs = multiplicative_specs(4096, ring_limit=100)
+        assert len(specs) == 98 + 99
+        for spec in specs:
+            dist, pred = _bfs(spec, 0)
+            routes = [_route(spec, x) for x in range(spec.n)]
+            assert routes == [_tree_path(pred, x) for x in range(spec.n)], spec.label
+            assert _digit_distances(spec) == (max(dist), sum(dist)), spec.label
+
+    @pytest.mark.parametrize("sk", [(2, 4), (2, 7), (3, 4), (4, 3), (5, 3), (11, 2), (13, 1)])
+    def test_multiplicative_specs_read_no_tree(self, monkeypatch, sk):
+        spec = make_multiplicative(*sk)
+        n = spec.n
+        dist, pred = _bfs(spec, 0)
+        paths = {(a, b): [(v + a) % n for v in _tree_path(pred, (b - a) % n)]
+                 for a in (0, 1, n - 1) for b in range(n)}
+
+        def no_tree(spec):
+            raise AssertionError("read the BFS tree")
+
+        monkeypatch.setattr(metrics, "_tree", no_tree)
+        monkeypatch.setattr(static_route, "_tree", no_tree)
+        _offset_packet.cache_clear()
+        _digit_distances.cache_clear()
+        assert diameter(spec) == max(dist)
+        assert average_distance(spec) == sum(dist) / (n - 1)
+        assert compare_row(spec).diameter == max(dist)
+        for (a, b), path in paths.items():
+            assert shortest_path(spec, a, b) == path
+            assert build_packet(spec, a, b) == encode_path(
+                spec, path_to_actions(spec, path), b, max(dist)
+            )
+        report = run(spec, "source_routed", TrafficPattern.all_pairs())
+        assert report.max_hops == max(dist)
+        assert report.avg_hops == sum(dist) / (n - 1)
+
+    def test_guard_precedes_the_node_checks(self):
+        big = make_multiplicative(2, 21)
+        assert big.n > BFS_NODE_LIMIT
+        with pytest.raises(GuardLimitError, match=r"^MC\(2,21\) has 2097152 nodes, above the "):
+            shortest_path(big, 0, 1)
+        with pytest.raises(GuardLimitError, match="BFS guard$"):
+            shortest_path(big, 0, big.n)
+        with pytest.raises(ValueError, match=r"^destination 2097152 outside"):
+            build_packet(big, 0, big.n)
 
 
 class TestEncoding:

@@ -118,6 +118,23 @@ class TestConstruction:
             make_multiplicative(46341, 2)
         assert make_multiplicative(2, 30).n == 2**30
 
+    def test_node_count_guard_past_the_int_str_limit(self):
+        # 10**5000 has 5001 digits, more than str() may print: the message gives its width
+        wide = "<16610-bit integer>"
+        message = rf"^MC\({wide},2\) has {wide}\*\*2 nodes, above the 2147483647 guard$"
+        with pytest.raises(GuardLimitError, match=message):
+            make_multiplicative(10**5000, 2)
+        with pytest.raises(GuardLimitError, match=rf"^MC\(3,{wide}\) has 3\*\*{wide} nodes"):
+            make_multiplicative(3, 10**5000)
+        with pytest.raises(ValueError, match=rf"^base s must be >= 2, got -{wide}$"):
+            make_multiplicative(-(10**5000), 3)
+        with pytest.raises(ValueError, match=rf"^dimension k must be >= 1, got -{wide}$"):
+            make_multiplicative(3, -(10**5000))
+        # 2000 digits still print in full
+        nines = "9" * 2000
+        with pytest.raises(GuardLimitError, match=rf"^MC\({nines},30\) has {nines}\*\*30 "):
+            make_multiplicative(int(nines), 30)
+
 
 class TestPorts:
     def test_port_table_mc43(self):
