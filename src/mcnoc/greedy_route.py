@@ -7,12 +7,20 @@ the cyclic offset to the destination, picks the shorter rotation direction
 distance in that direction (ties go to the smaller one).  Because the chosen
 generatrix never overshoots by more than it advances, the cyclic distance
 strictly decreases every hop and the walk terminates on its own.
+
+The choice is one bisection on the spec's midpoint ladder: rung j is
+``(g_j + g_(j+1)) // 2``, and ``g_j`` is kept exactly when the distance is at
+most that rung, so ``generatrices[bisect_left(ladder, distance)]`` is the
+closest generatrix with ties to the smaller one.  ``next_hop``,
+``greedy_path`` and ``_hop_counter`` (the walk a greedy ``run`` makes) all
+choose through it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GuardLimitError, RoutingError
@@ -31,9 +39,20 @@ class GreedyDecision(NamedTuple):
     next_node: int
 
 
-def _check_spec(spec: CirculantSpec):
+@lru_cache(maxsize=256)
+def _ladder(spec: CirculantSpec) -> tuple[int, ...]:
+    """Midpoints of adjacent generatrices, one rung per pair.
+
+    ``g_lo`` beats ``g_hi`` when ``dd - g_lo <= g_hi - dd``, i.e. when
+    ``dd <= (g_lo + g_hi) // 2``; a distance above the top rung bisects to
+    index k - 1, the largest generatrix.  This is also the one spec check
+    of greedy routing: a refused spec is never cached, so it raises on
+    every call.
+    """
     if not spec.is_multiplicative:
         raise ValueError(f"greedy routing needs a multiplicative circulant, got {spec.label}")
+    gens = spec.generatrices
+    return tuple((lo + hi) // 2 for lo, hi in zip(gens, gens[1:]))
 
 
 def relative_dest(spec: CirculantSpec, current: int, dst: int) -> int:
@@ -45,7 +64,7 @@ def relative_dest(spec: CirculantSpec, current: int, dst: int) -> int:
 
 def next_hop(spec: CirculantSpec, current: int, dst: int) -> GreedyDecision:
     """The greedy step taken at ``current`` for a packet headed to ``dst``."""
-    _check_spec(spec)
+    ladder = _ladder(spec)
     _check_node(spec, "current", current)
     _check_node(spec, "destination", dst)
     if current == dst:
@@ -60,7 +79,7 @@ def next_hop(spec: CirculantSpec, current: int, dst: int) -> GreedyDecision:
     i = bisect_right(gens, dd) - 1
     g_lo = gens[i]
     g_hi = gens[i + 1] if i + 1 < spec.k else g_lo
-    chosen = g_lo if (dd - g_lo) <= (g_hi - dd) else g_hi
+    chosen = gens[bisect_left(ladder, dd)]
     return GreedyDecision(
         direction=direction,
         distance_in_direction=dd,
@@ -73,32 +92,50 @@ def next_hop(spec: CirculantSpec, current: int, dst: int) -> GreedyDecision:
 
 def greedy_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
     """Node list of the greedy walk from src to dst (just [src] if equal)."""
-    _check_spec(spec)
+    ladder = _ladder(spec)
     _check_node(spec, "source", src)
     _check_node(spec, "destination", dst)
     n = spec.n
+    half = n // 2
     gens = spec.generatrices
-    k = spec.k
     path = [src]
     cur = src
-    # same decision rule as next_hop, inlined for the all-pairs sweeps
     for _ in range(n):
         if cur == dst:
             return path
         offset = (dst - cur) % n
-        if 2 * offset <= n:
-            sign, dd = 1, offset
+        if offset <= half:
+            cur = (cur + gens[bisect_left(ladder, offset)]) % n
         else:
-            sign, dd = -1, n - offset
-        i = bisect_right(gens, dd) - 1
-        g = gens[i]
-        if i + 1 < k:
-            g_hi = gens[i + 1]
-            if (dd - g) > (g_hi - dd):
-                g = g_hi
-        cur = (cur + sign * g) % n
+            cur = (cur - gens[bisect_left(ladder, n - offset)]) % n
         path.append(cur)
     raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
+
+
+def _hop_counter(spec: CirculantSpec):
+    """``(src, dst) -> hops`` of the greedy walk, for nodes already in range.
+
+    The walk is ``greedy_path``'s, hop by hop, without the node list; the
+    spec is checked once here instead of once per packet.
+    """
+    ladder = _ladder(spec)
+    n = spec.n
+    half = n // 2
+    gens = spec.generatrices
+
+    def hops_of(src: int, dst: int) -> int:
+        cur = src
+        for hops in range(n):
+            if cur == dst:
+                return hops
+            offset = (dst - cur) % n
+            if offset <= half:
+                cur = (cur + gens[bisect_left(ladder, offset)]) % n
+            else:
+                cur = (cur - gens[bisect_left(ladder, n - offset)]) % n
+        raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
+
+    return hops_of
 
 
 @dataclass(frozen=True)
@@ -114,7 +151,7 @@ class StretchReport:
 
 def stretch_report(spec: CirculantSpec, *, limit: int = 10_000) -> StretchReport:
     """Exhaustive stretch survey; refuses instances with more than ``limit`` nodes."""
-    _check_spec(spec)
+    hops_of = _hop_counter(spec)
     if spec.n > limit:
         raise GuardLimitError(f"{spec.label} has {spec.n} nodes, above the {limit} guard")
     n = spec.n
@@ -124,7 +161,7 @@ def stretch_report(spec: CirculantSpec, *, limit: int = 10_000) -> StretchReport
     worst_ratio = 0.0
     stretched = []  # (offset, greedy_hops, shortest_hops) where stretch > 1
     for offset in range(1, n):
-        greedy_hops = len(greedy_path(spec, 0, offset)) - 1
+        greedy_hops = hops_of(0, offset)
         shortest = dist[offset]
         ratio = greedy_hops / shortest
         total += ratio

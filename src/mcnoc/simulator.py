@@ -3,9 +3,12 @@
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  Source routing
-walks the packet's integer path field, as a router does.  Delivery is checked
-packet by packet; a packet that stops anywhere but its destination aborts the
-run with a RoutingError rather than being dropped silently.
+walks the packet's integer path field, as a router does; greedy routing walks
+the greedy rule hop by hop and counts the hops without keeping the nodes.
+Delivery is checked packet by packet; a packet that stops anywhere but its
+destination aborts the run with a RoutingError rather than being dropped
+silently.  One Counter of per-packet hop counts gives every figure of the
+report.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32``, so a seed produces the
@@ -16,10 +19,12 @@ from __future__ import annotations
 
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations, starmap
 
 from .errors import GuardLimitError, RoutingError
-from .greedy_route import greedy_path
+from .greedy_route import _hop_counter, greedy_path
 from .metrics import _bfs, diameter
 from .static_route import _by_code, _tree_path, bits_per_hop, build_packet
 from .topology import CirculantSpec, _check_node, port_table
@@ -69,10 +74,7 @@ class TrafficPattern:
     def pairs(self, spec: CirculantSpec, default_seed: int = 0):
         n = spec.n
         if self.kind == "all_pairs":
-            for src in range(n):
-                for dst in range(n):
-                    if dst != src:
-                        yield src, dst
+            yield from permutations(range(n), 2)
         elif self.kind == "random_pairs":
             seed = self.seed if self.seed is not None else default_seed
             draw = _lcg_stream(seed)
@@ -130,19 +132,11 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
             return hops
 
     else:
-
-        def hops_of(src: int, dst: int) -> int:
-            return len(greedy_path(spec, src, dst)) - 1
-    histogram: dict[int, int] = {}
-    injected = 0
-    total_hops = 0
-    max_hops = 0
-    for src, dst in traffic.pairs(spec, default_seed=seed):
-        hops = hops_of(src, dst)
-        injected += 1
-        total_hops += hops
-        max_hops = max(max_hops, hops)
-        histogram[hops] = histogram.get(hops, 0) + 1
+        hops_of = _hop_counter(spec)
+    histogram = Counter(starmap(hops_of, traffic.pairs(spec, default_seed=seed)))
+    injected = histogram.total()
+    total_hops = sum(hops * count for hops, count in histogram.items())
+    max_hops = max(histogram, default=0)
     return SimReport(
         mode=mode,
         injected=injected,

@@ -1,5 +1,7 @@
+from bisect import bisect_right
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcnoc import (
@@ -39,6 +41,15 @@ def cyclic_distance(n, a, b):
     return min(d, n - d)
 
 
+def two_comparison_choice(gens, dd):
+    """The generatrix closest to dd, ties to the smaller: g_lo is the largest
+    generatrix <= dd, g_hi the next one up (g_lo again at the top)."""
+    i = bisect_right(gens, dd) - 1
+    g_lo = gens[i]
+    g_hi = gens[i + 1] if i + 1 < len(gens) else g_lo
+    return g_lo if (dd - g_lo) <= (g_hi - dd) else g_hi
+
+
 class TestDecision:
     def test_reference_decisions(self):
         spec = make_multiplicative(4, 3)
@@ -72,6 +83,34 @@ class TestDecision:
         assert decision.distance_in_direction == 13
         assert decision.g_lo == decision.g_hi == 9
         assert decision.chosen == 9
+
+    @settings(max_examples=300, deadline=None)
+    @given(ladder_offsets())
+    def test_chosen_generatrix_is_the_two_comparison_rule(self, case):
+        s, k, src, dst = case
+        assume(src != dst)
+        spec = make_multiplicative(s, k)
+        offset = (dst - src) % spec.n
+        dd = min(offset, spec.n - offset)
+        decision = next_hop(spec, src, dst)
+        assert decision.distance_in_direction == dd
+        assert decision.chosen == two_comparison_choice(spec.generatrices, dd)
+
+    # MC(2,4) holds the generatrix tie (offset 3 between 2 and 4), MC(3,3) the
+    # top of the ladder (offset 13 beyond 9), MC(2,5) the diametral rung
+    # (offset 16 = n/2), MC(7,1) a ring with a one-rung ladder
+    @pytest.mark.parametrize("sk", [(2, 4), (3, 3), (2, 5), (4, 3), (5, 3), (7, 1)])
+    def test_every_distance_of_small_specs(self, sk):
+        spec = make_multiplicative(*sk)
+        seen = set()
+        for offset in range(1, spec.n):
+            decision = next_hop(spec, 0, offset)
+            dd = decision.distance_in_direction
+            want = two_comparison_choice(spec.generatrices, dd)
+            assert decision.chosen == want, offset
+            assert greedy_path(spec, 0, offset)[1] == decision.next_node
+            seen.add(dd)
+        assert seen == set(range(1, spec.n // 2 + 1))
 
     def test_relative_dest(self):
         spec = make_multiplicative(4, 3)

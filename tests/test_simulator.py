@@ -1,6 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcnoc import (
     CorruptPacketError,
@@ -12,6 +15,7 @@ from mcnoc import (
     bfs_distances,
     consume_step,
     diameter,
+    greedy_path,
     make_circulant,
     make_multiplicative,
     run,
@@ -20,6 +24,30 @@ from mcnoc import (
 )
 from mcnoc import simulator
 from mcnoc.simulator import SIM_CSV_HEADER
+from mcnoc.topology import MAX_NODES
+
+
+@st.composite
+def mc_specs(draw):
+    """MC(s, k) up to MAX_NODES nodes; rings stay at or below 1000 nodes, where
+    a greedy walk takes one step per hop."""
+    k = draw(st.integers(1, MAX_NODES.bit_length() - 1))
+    top = 1000 if k == 1 else int(MAX_NODES ** (1 / k)) + 1
+    while top**k > MAX_NODES:
+        top -= 1
+    return make_multiplicative(draw(st.integers(3 if k == 1 else 2, top)), k)
+
+
+def walked_histogram(spec, traffic):
+    """Hop counts of greedy_path's node lists over the pattern's pairs."""
+    return Counter(len(greedy_path(spec, a, b)) - 1 for a, b in traffic.pairs(spec))
+
+
+def assert_report_is_the_tally(report, tally):
+    assert report.hop_histogram == dict(sorted(tally.items()))
+    assert report.injected == report.delivered == sum(tally.values())
+    assert report.max_hops == report.total_cycles == max(tally, default=0)
+    assert report.avg_hops == sum(h * c for h, c in tally.items()) / report.injected
 
 
 class TestTrafficPatterns:
@@ -29,6 +57,12 @@ class TestTrafficPatterns:
         assert len(pairs) == spec.n * (spec.n - 1)
         assert len(set(pairs)) == len(pairs)
         assert all(src != dst for src, dst in pairs)
+
+    @pytest.mark.parametrize("spec", [make_multiplicative(2, 3), make_circulant(12, [1, 3])])
+    def test_all_pairs_in_nested_loop_order(self, spec):
+        n = spec.n
+        nested = [(a, b) for a in range(n) for b in range(n) if b != a]
+        assert list(TrafficPattern.all_pairs().pairs(spec)) == nested
 
     def test_random_pairs_reproducible(self):
         spec = make_multiplicative(3, 3)
@@ -149,6 +183,30 @@ class TestRun:
         spec = make_circulant(12, [1, 3])
         with pytest.raises(ValueError):
             run(spec, "greedy", TrafficPattern.single(0, 5))
+
+    def test_greedy_checks_the_spec_before_the_traffic(self):
+        # even an empty pattern is refused, as source-routed mode reads the
+        # diameter before any packet
+        spec = make_circulant(12, [1, 3])
+        with pytest.raises(ValueError) as refused:
+            run(spec, "greedy", TrafficPattern.random_pairs(0))
+        assert str(refused.value) == (
+            "greedy routing needs a multiplicative circulant, got C(12;1,3)"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(mc_specs(), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    def test_greedy_histogram_is_the_walked_hop_counts(self, spec, count, seed):
+        traffic = TrafficPattern.random_pairs(count, seed=seed)
+        report = run(spec, "greedy", traffic)
+        assert_report_is_the_tally(report, walked_histogram(spec, traffic))
+
+    @pytest.mark.parametrize("sk", [(2, 4), (3, 3), (4, 3)])
+    def test_greedy_all_pairs_is_the_walked_hop_counts(self, sk):
+        spec = make_multiplicative(*sk)
+        traffic = TrafficPattern.all_pairs()
+        report = run(spec, "greedy", traffic)
+        assert_report_is_the_tally(report, walked_histogram(spec, traffic))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
