@@ -17,7 +17,6 @@ same pair sequence on every platform and run.
 
 from __future__ import annotations
 
-import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -195,6 +194,8 @@ def bench_route_computation(spec: CirculantSpec, algo: str, repeat: int = 3) -> 
         raise ValueError(f"algo must be 'bfs' or 'greedy', got {algo!r}")
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
+    import statistics  # on first use, so importing the CLI never loads fractions or decimal
+
     times = []
     n = spec.n
     for _ in range(repeat):

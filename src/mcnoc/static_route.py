@@ -36,9 +36,14 @@ def bits_per_hop(spec: CirculantSpec) -> int:
     return len(port_table(spec)).bit_length()
 
 
-@dataclass(frozen=True)
+@dataclass
 class SourceRoutedPacket:
     """A path field plus the framing needed to interpret it.
+
+    A packet is a plain, unhashable record.  ``build_packet``,
+    ``encode_path`` and ``consume_step`` always return a new one (except
+    that ``consume_step`` hands back its argument at the destination), so
+    changing one packet's fields never reaches another.
 
     ``hops_encoded`` is the number of hops written at build time; consuming
     hops shifts ``path_field`` but leaves the framing untouched.
@@ -173,7 +178,11 @@ def consume_step(
 
 @lru_cache(maxsize=4096)
 def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
-    """Encoded route 0 -> offset; by translation, the route of every pair at that offset."""
+    """Encoded route 0 -> offset; by translation, the route of every pair at that offset.
+
+    Every pair at the offset shares this one mutable packet, so it never leaves
+    this module: ``build_packet`` copies it into a new packet per call.
+    """
     return encode_path(spec, path_to_actions(spec, _route(spec, offset)))
 
 

@@ -226,13 +226,23 @@ class TestDeterminism:
         assert first[1]  # something was printed
 
 
-def test_cli_import_leaves_numpy_out():
-    # only bfs_distances needs numpy, and no subcommand calls it
+def loaded_by_cli_import(module: str) -> str:
+    """What a fresh interpreter prints for `module in sys.modules` after `import mcnoc.cli`."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mcnoc.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, mcnoc.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # only bfs_distances needs numpy, and no subcommand calls it
+    assert loaded_by_cli_import("numpy") == "False\n"
+
+
+def test_cli_import_leaves_statistics_out():
+    # only bench_route_computation needs statistics, whose import pulls in fractions and decimal
+    assert loaded_by_cli_import("statistics") == "False\n"

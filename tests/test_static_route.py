@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import deque
 
@@ -481,3 +482,65 @@ class TestPacketCache:
         assert (node, hops) == ((7 + 2**20 - 8 + 1) % spec.n, 3)
         with pytest.raises(GuardLimitError):
             build_packet(spec, 0, 1)
+
+
+class TestPacketsAreRecords:
+    @pytest.mark.parametrize(
+        "spec, pair, twin",
+        [
+            (make_multiplicative(4, 3), (5, 17), (40, 52)),
+            (make_circulant(30, [2, 3, 15]), (4, 21), (20, 7)),
+        ],
+        ids=lambda v: v.label if hasattr(v, "label") else None,
+    )
+    def test_build_packet_returns_a_fresh_packet(self, spec, pair, twin):
+        # twin is another pair at the same offset, so it reads the same cache entry
+        first = build_packet(spec, *pair)
+        second = build_packet(spec, *pair)
+        assert first is not second and first == second
+        first.path_field, first.dst, first.hop_capacity = 0b111, None, 99
+        for src, dst in (pair, twin):
+            for cap in (None, diameter(spec) + 1):
+                got = build_packet(spec, src, dst, cap)
+                assert got is not first
+                assert got == reference_packet(spec, src, dst, cap)
+
+    def test_encode_path_returns_a_fresh_packet(self):
+        spec = make_multiplicative(4, 3)
+        actions = path_to_actions(spec, shortest_path(spec, 5, 17))
+        a = encode_path(spec, actions, 17)
+        b = encode_path(spec, actions, 17)
+        assert a is not b and a == b
+
+    def test_consume_step_leaves_its_argument_alone(self):
+        spec = make_multiplicative(4, 3)
+        packet = build_packet(spec, 5, 17)
+        before = dataclasses.asdict(packet)
+        while True:
+            action, after = consume_step(spec, packet)
+            assert dataclasses.asdict(packet) == before
+            if action is None:
+                assert after is packet  # at the destination: the same packet, as documented
+                break
+            assert after is not packet
+            packet, before = after, dataclasses.asdict(after)
+        assert before["path_field"] == 0
+
+    def test_fields_repr_and_asdict_are_pinned(self):
+        names = [f.name for f in dataclasses.fields(SourceRoutedPacket)]
+        assert names == ["dst", "path_field", "bits_per_hop", "hops_encoded", "hop_capacity"]
+        packet = build_packet(make_multiplicative(4, 3), 5, 17)
+        assert repr(packet) == (
+            "SourceRoutedPacket(dst=17, path_field=26, bits_per_hop=3, "
+            "hops_encoded=2, hop_capacity=5)"
+        )
+        assert dataclasses.asdict(packet) == {
+            "dst": 17, "path_field": 26, "bits_per_hop": 3, "hops_encoded": 2, "hop_capacity": 5
+        }
+
+    def test_packets_are_mutable_and_unhashable(self):
+        packet = build_packet(make_multiplicative(4, 3), 5, 17)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(packet)
+        packet.dst = 3
+        assert packet.dst == 3
