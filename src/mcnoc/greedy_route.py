@@ -65,13 +65,11 @@ def relative_dest(spec: CirculantSpec, current: int, dst: int) -> int:
 def next_hop(spec: CirculantSpec, current: int, dst: int) -> GreedyDecision:
     """The greedy step taken at ``current`` for a packet headed to ``dst``."""
     ladder = _ladder(spec)
-    _check_node(spec, "current", current)
-    _check_node(spec, "destination", dst)
-    if current == dst:
+    offset = relative_dest(spec, current, dst)
+    if offset == 0:
         raise ValueError("already at the destination, no hop to take")
     n = spec.n
     gens = spec.generatrices
-    offset = (dst - current) % n
     if 2 * offset <= n:
         direction, dd = 1, offset
     else:

@@ -3,7 +3,8 @@
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  Source routing
-walks the packet's integer path field, as a router does; greedy routing walks
+walks the path field of the offset's cached packet, as a router does (traffic
+yields in-range nodes only, so no pair is re-checked); greedy routing walks
 the greedy rule hop by hop and counts the hops without keeping the nodes.
 Delivery is checked packet by packet; a packet that stops anywhere but its
 destination aborts the run with a RoutingError rather than being dropped
@@ -11,8 +12,9 @@ silently.  One Counter of per-packet hop counts gives every figure of the
 report.
 
 Random traffic uses an explicit linear congruential generator,
-``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32``, so a seed produces the
-same pair sequence on every platform and run.
+``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
+so a seed produces the same pairs on every platform and run: src is one
+draw and dst the next, drawn again while it equals src.
 """
 
 from __future__ import annotations
@@ -25,19 +27,12 @@ from itertools import permutations, starmap
 from .errors import GuardLimitError, RoutingError
 from .greedy_route import _hop_counter, greedy_path
 from .metrics import _bfs, diameter
-from .static_route import _by_code, _tree_path, bits_per_hop, build_packet
+from .static_route import _by_code, _offset_packet, _tree_path, bits_per_hop
 from .topology import CirculantSpec, _check_node, port_table
 
 MODES = ("source_routed", "greedy")
 
 BENCH_NODE_LIMIT = 10_000
-
-
-def _lcg_stream(seed: int):
-    x = seed % 2**32
-    while True:
-        x = (1664525 * x + 1013904223) % 2**32
-        yield x
 
 
 @dataclass(frozen=True)
@@ -76,12 +71,13 @@ class TrafficPattern:
             yield from permutations(range(n), 2)
         elif self.kind == "random_pairs":
             seed = self.seed if self.seed is not None else default_seed
-            draw = _lcg_stream(seed)
+            x = seed % 2**32
             for _ in range(self.count):
-                src = next(draw) % n
-                dst = next(draw) % n
-                while dst == src:
-                    dst = next(draw) % n
+                x = (1664525 * x + 1013904223) & 0xFFFFFFFF
+                src = dst = x % n
+                while dst == src:  # draws dst at least once, and again on a repeat
+                    x = (1664525 * x + 1013904223) & 0xFFFFFFFF
+                    dst = x % n
                 yield src, dst
         elif self.kind == "single":
             _check_node(spec, "source", self.src)
@@ -114,16 +110,20 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "source_routed":
         capacity = diameter(spec)
+        n = spec.n
         offsets = port_table(spec).offsets
         b = bits_per_hop(spec)
         mask = (1 << b) - 1
 
         def hops_of(src: int, dst: int) -> int:
-            field = build_packet(spec, src, dst, hop_capacity=capacity).path_field
+            packet = _offset_packet(spec, (dst - src) % n)
+            if packet.hops_encoded > capacity:
+                raise ValueError(f"{packet.hops_encoded} hops exceed capacity {capacity}")
+            field = packet.path_field
             node = src
             hops = 0
             while field:
-                node = (node + _by_code(offsets, field & mask)) % spec.n
+                node = (node + _by_code(offsets, field & mask)) % n
                 field >>= b
                 hops += 1
             if node != dst:

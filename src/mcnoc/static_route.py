@@ -16,9 +16,9 @@ a breadth-first search from node 0 records (FIFO, ascending port codes,
 first-found predecessor), which is the least port-code sequence among the
 shortest paths.  On MC(s, k) the digit DP in ``metrics`` computes it per
 offset; a general circulant walks its one cached BFS tree.  Because the
-encoded route depends only on the offset too, ``build_packet`` encodes each
-(spec, offset) once, in a bounded cache, and gives every pair its own dst
-and capacity framing.
+encoded route depends only on the offset too, each (spec, offset) is encoded
+once, in a bounded cache: ``build_packet`` re-frames it per pair, and a
+source-routed ``simulator.run`` walks its field directly.
 """
 
 from __future__ import annotations
@@ -180,8 +180,9 @@ def consume_step(
 def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
     """Encoded route 0 -> offset; by translation, the route of every pair at that offset.
 
-    Every pair at the offset shares this one mutable packet, so it never leaves
-    this module: ``build_packet`` copies it into a new packet per call.
+    Every pair at the offset shares this one mutable packet, so no caller changes
+    it or hands it out: ``build_packet`` copies it per call, and source-routed
+    ``simulator.run`` reads only its ``path_field`` and ``hops_encoded``.
     """
     return encode_path(spec, path_to_actions(spec, _route(spec, offset)))
 

@@ -170,11 +170,6 @@ class PortTable:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def action(self, code: PortCode) -> HopAction:
-        if not 1 <= code <= len(self.actions):
-            raise ValueError(f"port code {code} outside 1..{len(self.actions)}")
-        return self.actions[code - 1]
-
     def code(self, action: HopAction) -> PortCode:
         try:
             return self._code_of[action]

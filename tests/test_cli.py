@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcnoc.cli import main
 
@@ -246,3 +251,83 @@ def test_cli_import_leaves_numpy_out():
 def test_cli_import_leaves_statistics_out():
     # only bench_route_computation needs statistics, whose import pulls in fractions and decimal
     assert loaded_by_cli_import("statistics") == "False\n"
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# Three in four flag values parse as integers: plain decimal, or non-ASCII digits,
+# which int() reads.  The rest are empty, carry a decimal point, or are hex.
+FORMS = [str] * 8 + [
+    lambda v: str(v).translate(ARABIC_INDIC),
+    lambda v: "",
+    lambda v: f"{v}.0",
+    hex,
+]
+
+
+def flag_values(ints):
+    """Text for an integer flag, in one of FORMS."""
+    return st.builds(lambda form, v: form(v), st.sampled_from(FORMS), ints)
+
+
+def spec_flags(s_ints, k_ints):
+    return st.tuples(flag_values(s_ints), flag_values(k_ints)).map(
+        lambda sk: ["--s", sk[0], "--k", sk[1]]
+    )
+
+
+# s <= 64 keeps rings short: a greedy walk on MC(s,1) takes up to s/2 hops, and
+# no guard bounds it yet.  Specs above 2**20 nodes reach the BFS guard, and
+# above 2**31 - 1 the construction guard.
+ANY_SPEC = spec_flags(st.integers(-1, 64), st.integers(0, 7))
+# All-pairs traffic (n(n-1) packets) has no guard yet, and bench runs a BFS per
+# ordered pair, so both stay at n <= 64 by construction.
+SMALL_SPEC = spec_flags(st.integers(-1, 8), st.integers(0, 2))
+NODES = flag_values(st.integers(-1, 70))
+SEEDS = flag_values(st.integers(-(2**40), 2**40))
+TRAFFIC = st.one_of(
+    # random:N costs time linear in a count the user chose, so N stays small
+    flag_values(st.integers(-1, 50)).map(lambda c: f"random:{c}"),
+    st.tuples(NODES, NODES).map(lambda p: f"pair:{p[0]}:{p[1]}"),
+    st.sampled_from(["random", "pair:1", "pair:1:2:3", "every", ""]),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["gen", "metrics", "route", "simulate", "memory", "bench"]))
+    if command == "bench":
+        return ["bench", *draw(SMALL_SPEC), "--repeat", draw(flag_values(st.integers(0, 2)))]
+    if command != "simulate":
+        argv = [command, *draw(ANY_SPEC)]
+    elif draw(st.booleans()):
+        argv = [command, *draw(SMALL_SPEC), "--traffic", "all"]
+    else:
+        argv = [command, *draw(ANY_SPEC), "--traffic", draw(TRAFFIC)]
+    if command == "metrics":
+        argv += draw(st.sampled_from([[], ["--mesh-compare"]]))
+        argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]))
+    if command == "route":
+        argv += ["--from", draw(NODES), "--to", draw(NODES)]
+        argv += draw(st.sampled_from([[], ["--show-packet"]]))
+    if command in ("route", "simulate"):
+        argv += ["--algo", draw(st.sampled_from(["bfs", "greedy"]))]
+    if command == "simulate" and draw(st.booleans()):
+        argv += ["--seed", draw(SEEDS)]
+    return argv
+
+
+ERROR_LINE = re.compile(r"^((mcnoc \w+: )?error: |invariant violation: )")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert sum(1 for line in err.getvalue().splitlines() if ERROR_LINE.match(line)) == 1

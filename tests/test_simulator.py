@@ -80,6 +80,28 @@ class TestTrafficPatterns:
         assert pairs[0] == (15, 2)
         assert pairs[1] == (3519870697 % 16, 2868466484 % 16)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 4]) | st.integers(3, 5000), st.integers(0, 100),
+           st.integers(-(2**40), 2**40))
+    def test_random_pairs_are_the_documented_lcg(self, n, count, seed):
+        # the module docstring's generator, written out: x_0 = seed mod 2**32, then
+        # x_{t+1} = (1664525 x_t + 1013904223) mod 2**32; src from one draw, dst
+        # from the next, dst drawn again while it equals src (often for n = 3, 4)
+        state = [seed % 2**32]
+
+        def draw():
+            state[0] = (1664525 * state[0] + 1013904223) % 2**32
+            return state[0] % n
+
+        reference = []
+        for _ in range(count):
+            src, dst = draw(), draw()
+            while dst == src:
+                dst = draw()
+            reference.append((src, dst))
+        spec = make_circulant(n, [1])
+        assert list(TrafficPattern.random_pairs(count, seed).pairs(spec)) == reference
+
     def test_pattern_seed_wins_over_run_seed(self):
         spec = make_multiplicative(3, 3)
         own = TrafficPattern.random_pairs(20, seed=5)
@@ -166,15 +188,15 @@ class TestRun:
     def test_corrupt_field_aborts_the_run(self, monkeypatch, field, hops, code):
         spec = make_multiplicative(2, 3)
 
-        def corrupt(spec, src, dst, hop_capacity=None):
-            return SourceRoutedPacket(dst, field, 3, hops, hop_capacity)
+        def corrupt(spec, offset):
+            return SourceRoutedPacket(None, field, 3, hops, 3)
 
-        packet = corrupt(spec, 0, 1, 3)
+        packet = corrupt(spec, 1)
         with pytest.raises(CorruptPacketError) as stepped:
             while packet.path_field:
                 packet = consume_step(spec, packet)[1]
         assert str(stepped.value) == f"hop code {code} outside 1..5"
-        monkeypatch.setattr(simulator, "build_packet", corrupt)
+        monkeypatch.setattr(simulator, "_offset_packet", corrupt)
         with pytest.raises(CorruptPacketError) as walked:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(walked.value) == str(stepped.value)
