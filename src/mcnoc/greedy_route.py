@@ -6,7 +6,9 @@ the cyclic offset to the destination, picks the shorter rotation direction
 (ties go to +), and jumps by the generatrix closest to the remaining
 distance in that direction (ties go to the smaller one).  Because the chosen
 generatrix never overshoots by more than it advances, the cyclic distance
-strictly decreases every hop and the walk terminates on its own.
+strictly decreases every hop and the walk terminates on its own.  The next
+cyclic distance is ``|dd - g(dd)|`` whichever way the packet turns, so the
+hop count follows from the distance alone; a greedy ``run`` walks only that.
 
 The choice is one bisection on the spec's midpoint ladder: rung j is
 ``(g_j + g_(j+1)) // 2``, and ``g_j`` is kept exactly when the distance is at
@@ -113,8 +115,9 @@ def greedy_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
 def _hop_counter(spec: CirculantSpec):
     """``(src, dst) -> hops`` of the greedy walk, for nodes already in range.
 
-    The walk is ``greedy_path``'s, hop by hop, without the node list; the
-    spec is checked once here instead of once per packet.
+    It counts ``greedy_path``'s hops by walking the cyclic distance
+    ``dd -> |dd - g(dd)|``: that is the node walk's next cyclic distance in
+    either direction, and ``g`` reads ``dd`` alone.  The spec is checked once.
     """
     ladder = _ladder(spec)
     n = spec.n
@@ -122,16 +125,18 @@ def _hop_counter(spec: CirculantSpec):
     gens = spec.generatrices
 
     def hops_of(src: int, dst: int) -> int:
-        cur = src
-        for hops in range(n):
-            if cur == dst:
-                return hops
-            offset = (dst - cur) % n
-            if offset <= half:
-                cur = (cur + gens[bisect_left(ladder, offset)]) % n
-            else:
-                cur = (cur - gens[bisect_left(ladder, n - offset)]) % n
-        raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
+        d = (dst - src) % n
+        if d > half:
+            d = n - d
+        hops = 0
+        while d:
+            if hops == n:
+                raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
+            d -= gens[bisect_left(ladder, d)]
+            if d < 0:
+                d = -d
+            hops += 1
+        return hops
 
     return hops_of
 

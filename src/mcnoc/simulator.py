@@ -114,6 +114,7 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
         offsets = port_table(spec).offsets
         b = bits_per_hop(spec)
         mask = (1 << b) - 1
+        ports = len(offsets)
 
         def hops_of(src: int, dst: int) -> int:
             packet = _offset_packet(spec, (dst - src) % n)
@@ -123,7 +124,10 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
             node = src
             hops = 0
             while field:
-                node = (node + _by_code(offsets, field & mask)) % n
+                code = field & mask
+                if not 0 < code <= ports:
+                    _by_code(offsets, code)  # raises with the one message
+                node = (node + offsets[code - 1]) % n
                 field >>= b
                 hops += 1
             if node != dst:

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from mcnoc import (
     GreedyDecision,
     GuardLimitError,
+    RoutingError,
+    TrafficPattern,
     bfs_distances,
     greedy_path,
     make_circulant,
     make_multiplicative,
     next_hop,
     relative_dest,
+    run,
     stretch_report,
 )
+from mcnoc import greedy_route
 from mcnoc.metrics import _digit_hops
 from mcnoc.topology import MAX_NODES
 
@@ -178,6 +182,29 @@ class TestWalk:
                 path = greedy_path(spec, src, dst)
                 gaps = [cyclic_distance(spec.n, v, dst) for v in path]
                 assert all(x > y for x, y in zip(gaps, gaps[1:]))
+
+    # odd n, the diametral tie dd = n/2, rings, and a general spec
+    @pytest.mark.parametrize("sk", [(3, 5), (5, 3), (2, 7), (4, 4), (7, 1), (8, 1), (6, 3)])
+    def test_distance_walk_counts_the_node_walk(self, sk):
+        spec = make_multiplicative(*sk)
+        n = spec.n
+        hops_of = greedy_route._hop_counter(spec)
+        for src in (0, n - 1):
+            for offset in range(n):
+                dst = (src + offset) % n
+                assert hops_of(src, dst) == len(greedy_path(spec, src, dst)) - 1
+
+    def test_hop_guard_stops_a_cycling_walk(self, monkeypatch):
+        # a ladder of (0, 0) always picks 4 on MC(2,3): distance 1 -> 3 -> 1 -> ...
+        spec = make_multiplicative(2, 3)
+        monkeypatch.setattr(greedy_route, "_ladder", lambda spec: (0, 0))
+        message = "greedy walk from 0 to 1 exceeded 8 hops"
+        with pytest.raises(RoutingError) as counted:
+            greedy_route._hop_counter(spec)(0, 1)
+        assert str(counted.value) == message
+        with pytest.raises(RoutingError) as walked:
+            run(spec, "greedy", TrafficPattern.single(0, 1))
+        assert str(walked.value) == message
 
 
 class TestStretch:
