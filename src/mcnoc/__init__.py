@@ -4,110 +4,57 @@ Construction and validation of circulant graphs, two routing schemes
 (static source routing with port-coded path fields, and greedy routing that
 needs only node-local state), distance and memory metrics with square-mesh
 reference formulas, and a deterministic forwarding simulator.
+
+Public names resolve on first use (PEP 562), so importing the package, or
+one of its modules, compiles only the modules that are used.
 """
 
-from .errors import CorruptPacketError, GuardLimitError, RoutingError
-from .greedy_route import (
-    GreedyDecision,
-    StretchReport,
-    greedy_path,
-    next_hop,
-    relative_dest,
-    stretch_report,
-)
-from .metrics import (
-    MemoryEstimate,
-    MetricsRow,
-    analytic_avg_mc2,
-    analytic_diameter_mc2,
-    average_distance,
-    bfs_distances,
-    ceil_log2,
-    compare_row,
-    diameter,
-    memory_bits,
-    mesh_avg,
-    mesh_diameter,
-    metrics_csv_row,
-)
-from .simulator import (
-    SimReport,
-    TrafficPattern,
-    bench_route_computation,
-    run,
-    sim_report_csv,
-    sim_report_document,
-)
-from .static_route import (
-    SourceRoutedPacket,
-    bits_per_hop,
-    build_packet,
-    consume_step,
-    encode_path,
-    path_to_actions,
-    shortest_path,
-)
-from .topology import (
-    CirculantSpec,
-    HopAction,
-    PortCode,
-    apply_action,
-    make_circulant,
-    make_multiplicative,
-    neighbor_offsets,
-    neighbors,
-    port_count,
-    port_table,
-    topology_document,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CirculantSpec",
-    "CorruptPacketError",
-    "GreedyDecision",
-    "GuardLimitError",
-    "HopAction",
-    "MemoryEstimate",
-    "MetricsRow",
-    "PortCode",
-    "RoutingError",
-    "SimReport",
-    "SourceRoutedPacket",
-    "StretchReport",
-    "TrafficPattern",
-    "analytic_avg_mc2",
-    "analytic_diameter_mc2",
-    "apply_action",
-    "average_distance",
-    "bench_route_computation",
-    "bfs_distances",
-    "bits_per_hop",
-    "build_packet",
-    "ceil_log2",
-    "compare_row",
-    "consume_step",
-    "diameter",
-    "encode_path",
-    "greedy_path",
-    "make_circulant",
-    "make_multiplicative",
-    "memory_bits",
-    "mesh_avg",
-    "mesh_diameter",
-    "metrics_csv_row",
-    "neighbor_offsets",
-    "neighbors",
-    "next_hop",
-    "path_to_actions",
-    "port_count",
-    "port_table",
-    "relative_dest",
-    "run",
-    "shortest_path",
-    "sim_report_csv",
-    "sim_report_document",
-    "stretch_report",
-    "topology_document",
-]
+# module -> the public names it defines; the one list of the package's API
+_EXPORTS = {
+    "errors": ("CorruptPacketError", "GuardLimitError", "RoutingError"),
+    "greedy_route": (
+        "GreedyDecision", "StretchReport", "greedy_path", "next_hop", "relative_dest",
+        "stretch_report",
+    ),
+    "metrics": (
+        "MemoryEstimate", "MetricsRow", "analytic_avg_mc2", "analytic_diameter_mc2",
+        "average_distance", "bfs_distances", "ceil_log2", "compare_row", "diameter",
+        "memory_bits", "mesh_avg", "mesh_diameter", "metrics_csv_row",
+    ),
+    "simulator": (
+        "SimReport", "TrafficPattern", "bench_route_computation", "run", "sim_report_csv",
+        "sim_report_document",
+    ),
+    "static_route": (
+        "SourceRoutedPacket", "bits_per_hop", "build_packet", "consume_step", "encode_path",
+        "path_to_actions", "shortest_path",
+    ),
+    "topology": (
+        "CirculantSpec", "HopAction", "PortCode", "apply_action", "make_circulant",
+        "make_multiplicative", "neighbor_offsets", "neighbors", "port_count", "port_table",
+        "topology_document",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the module behind a public name (or a module itself) and bind it here."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)  # the import binds it
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without calling this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

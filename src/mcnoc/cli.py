@@ -3,7 +3,8 @@
 Six subcommands: ``gen`` (topology document), ``metrics`` (distance metrics
 with an optional mesh comparison), ``route`` (one path, optionally with the
 packet encoding), ``simulate`` (forwarding run), ``memory`` (router bit
-budget), and ``bench`` (route-computation timing sweep).
+budget), and ``bench`` (route-computation timing sweep).  Each command
+imports the modules it calls, so a one-shot process compiles only those.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed values,
 out-of-range arguments, an ``--out`` file that cannot be written), 2 when a
@@ -19,16 +20,6 @@ import sys
 from dataclasses import asdict
 
 from .errors import CorruptPacketError, GuardLimitError, RoutingError
-from .greedy_route import greedy_path
-from .metrics import (
-    METRICS_CSV_HEADER,
-    ceil_log2,
-    compare_row,
-    memory_bits,
-    metrics_csv_row,
-)
-from .simulator import TrafficPattern, bench_route_computation, run, sim_report_document
-from .static_route import build_packet, shortest_path
 from .topology import make_multiplicative, topology_document
 
 
@@ -37,7 +28,9 @@ def _add_spec_args(parser: argparse.ArgumentParser):
     parser.add_argument("--k", type=int, required=True, help="dimension, n = s**k")
 
 
-def _parse_traffic(text: str, seed: int) -> TrafficPattern:
+def _parse_traffic(text: str, seed: int):
+    from .simulator import TrafficPattern
+
     if text == "all":
         return TrafficPattern.all_pairs()
     if text.startswith("random:"):
@@ -62,6 +55,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import METRICS_CSV_HEADER, compare_row, metrics_csv_row
+
     row = compare_row(make_multiplicative(args.s, args.k))
     if args.format == "csv":
         print(METRICS_CSV_HEADER)
@@ -86,8 +81,13 @@ def cmd_metrics(args) -> int:
 def cmd_route(args) -> int:
     spec = make_multiplicative(args.s, args.k)
     if args.algo == "bfs":
+        from .static_route import build_packet, shortest_path
+
         path = shortest_path(spec, args.src, args.dst)
     else:
+        from .greedy_route import greedy_path
+        from .metrics import ceil_log2
+
         path = greedy_path(spec, args.src, args.dst)
     print(" ".join(str(v) for v in path))
     if args.show_packet:
@@ -104,6 +104,8 @@ def cmd_route(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import run, sim_report_document
+
     spec = make_multiplicative(args.s, args.k)
     mode = "source_routed" if args.algo == "bfs" else "greedy"
     traffic = _parse_traffic(args.traffic, args.seed)
@@ -113,6 +115,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_memory(args) -> int:
+    from .metrics import memory_bits
+
     est = memory_bits(make_multiplicative(args.s, args.k))
     print(f"per_node_bits: {est.per_node_bits}")
     print(f"total_bits: {est.total_bits}")
@@ -121,6 +125,8 @@ def cmd_memory(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .simulator import bench_route_computation
+
     spec = make_multiplicative(args.s, args.k)
     bfs_s = bench_route_computation(spec, "bfs", repeat=args.repeat)
     greedy_s = bench_route_computation(spec, "greedy", repeat=args.repeat)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from mcnoc import (
     relative_dest,
     shortest_path,
 )
+from mcnoc import simulator
 
 SPEC = make_multiplicative(2, 4)  # n = 16
 
@@ -97,3 +102,58 @@ def test_public_names_are_pinned():
     ]
     for name in mcnoc.__all__:
         assert hasattr(mcnoc, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from mcnoc import *", namespace)
+    del namespace["__builtins__"]
+    assert len(namespace) == 46
+    assert sorted(namespace) == sorted(mcnoc.__all__)
+
+
+@pytest.mark.parametrize("name", mcnoc.__all__)
+def test_public_name_is_its_defining_module_attribute(name):
+    value = getattr(mcnoc, name)
+    # PortCode is an alias of int, so its __module__ does not name topology
+    module = "mcnoc.topology" if name == "PortCode" else value.__module__
+    assert module.startswith("mcnoc.")
+    assert value is getattr(sys.modules[module], name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(mcnoc.__all__) <= set(dir(mcnoc))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'mcnoc' has no attribute 'no_such_name'$"):
+        mcnoc.no_such_name
+    assert not hasattr(mcnoc, "no_such_name")
+    assert not hasattr(mcnoc, "_bfs")  # a module's private names stay private
+
+
+def test_a_resolved_name_is_bound_into_the_package(monkeypatch):
+    monkeypatch.delitem(vars(mcnoc), "run", raising=False)
+    hook = mcnoc.__getattr__
+    calls = []
+    monkeypatch.setattr(mcnoc, "__getattr__", lambda name: calls.append(name) or hook(name))
+    assert mcnoc.run is simulator.run
+    assert mcnoc.run is simulator.run
+    assert calls == ["run"]
+
+
+def test_importing_the_package_loads_no_module_until_asked():
+    # in a fresh interpreter: `import mcnoc` alone compiles nothing else, and a
+    # submodule is still reachable as a plain attribute of the package
+    script = (
+        "import sys, mcnoc\n"
+        "before = sorted(m for m in sys.modules if m.startswith('mcnoc'))\n"
+        "metrics = mcnoc.metrics\n"
+        "print(before, metrics is sys.modules['mcnoc.metrics'], 'mcnoc.simulator' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['mcnoc'] True False\n"

@@ -20,6 +20,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's src on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=20
+    )
+
+
 class TestGen:
     def test_stdout_document(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--s", "4", "--k", "3")
@@ -176,12 +185,7 @@ class TestExitCodes:
     )
     def test_bfs_guard_refuses_promptly(self, argv):
         # in a child process, so a missing guard fails on the timeout instead of hanging
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcnoc.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=20,
-        )
+        proc = child("-m", "mcnoc.cli", *argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("invariant violation:")
         assert "BFS guard" in proc.stderr
@@ -195,15 +199,23 @@ class TestExitCodes:
     )
     def test_node_count_guard_refuses_promptly(self, argv):
         # s**k would take seconds to form, and its digits overflow the int -> str limit
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcnoc.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=20,
-        )
+        proc = child("-m", "mcnoc.cli", *argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("invariant violation:")
         assert "guard" in proc.stderr
+
+    @pytest.mark.parametrize("algo", ["greedy", "bfs"])
+    def test_all_pairs_guard_refuses_promptly(self, algo):
+        # MC(2,20) all-pairs is about 1.1e12 packets: weeks of work without the guard
+        proc = child(
+            "-m", "mcnoc.cli", "simulate", "--s", "2", "--k", "20", "--algo", algo,
+            "--traffic", "all",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "invariant violation: MC(2,20) has 1048576 nodes, above the 256 all-pairs guard\n"
+        )
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
@@ -233,14 +245,52 @@ class TestDeterminism:
 
 def loaded_by_cli_import(module: str) -> str:
     """What a fresh interpreter prints for `module in sys.modules` after `import mcnoc.cli`."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, mcnoc.cli; print({module!r} in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=20,
-    )
+    proc = child("-c", f"import sys, mcnoc.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def package_modules_loaded_by(*argv: str) -> set[str]:
+    """The mcnoc modules a fresh interpreter holds after `import mcnoc.cli` and `main(argv)`.
+
+    With no argv the interpreter only imports the CLI.
+    """
+    script = (
+        "import json, sys, mcnoc.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "code = mcnoc.cli.main(argv) if argv else 0\n"
+        "names = [m for m in sys.modules if m == 'mcnoc' or m.startswith('mcnoc.')]\n"
+        "print(json.dumps(sorted(names)))\n"
+        "sys.exit(code)\n"
+    )
+    proc = child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+CLI_IMPORT = {"mcnoc", "mcnoc.cli", "mcnoc.errors", "mcnoc.topology"}
+MC24 = ("--s", "2", "--k", "4")
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        ((), set()),
+        (("gen", *MC24), set()),
+        (("metrics", *MC24, "--format", "json"), {"metrics"}),
+        (("memory", *MC24), {"metrics"}),
+        (("route", *MC24, "--from", "0", "--to", "5", "--algo", "bfs", "--show-packet"),
+         {"metrics", "static_route"}),
+        (("route", *MC24, "--from", "0", "--to", "5", "--algo", "greedy", "--show-packet"),
+         {"greedy_route", "metrics"}),
+        (("simulate", *MC24, "--algo", "greedy", "--traffic", "pair:0:5"),
+         {"greedy_route", "metrics", "simulator", "static_route"}),
+    ],
+    ids=["import", "gen", "metrics", "memory", "route-bfs", "route-greedy", "simulate"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, added):
+    # every module loaded is compiled from source when bytecode caching is off
+    assert package_modules_loaded_by(*argv) == CLI_IMPORT | {f"mcnoc.{m}" for m in added}
 
 
 def test_cli_import_leaves_numpy_out():
@@ -280,8 +330,8 @@ def spec_flags(s_ints, k_ints):
 # no guard bounds it yet.  Specs above 2**20 nodes reach the BFS guard, and
 # above 2**31 - 1 the construction guard.
 ANY_SPEC = spec_flags(st.integers(-1, 64), st.integers(0, 7))
-# All-pairs traffic (n(n-1) packets) has no guard yet, and bench runs a BFS per
-# ordered pair, so both stay at n <= 64 by construction.
+# All-pairs traffic is n(n-1) packets (run refuses it above 256 nodes), and bench
+# runs a BFS per ordered pair, so both stay at n <= 64 by construction.
 SMALL_SPEC = spec_flags(st.integers(-1, 8), st.integers(0, 2))
 NODES = flag_values(st.integers(-1, 70))
 SEEDS = flag_values(st.integers(-(2**40), 2**40))

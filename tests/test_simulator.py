@@ -234,6 +234,23 @@ class TestRun:
         with pytest.raises(ValueError):
             run(make_multiplicative(2, 3), "dijkstra", TrafficPattern.all_pairs())
 
+    @pytest.mark.parametrize("mode", simulator.MODES)
+    def test_all_pairs_guard_refuses_before_the_first_pair(self, monkeypatch, mode):
+        ring = make_multiplicative(257, 1)
+        assert ring.n == simulator.ALL_PAIRS_NODE_LIMIT + 1
+
+        def no_pairs(self, spec, default_seed=0):
+            raise AssertionError("read the traffic")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TrafficPattern, "pairs", no_pairs)
+            with pytest.raises(
+                GuardLimitError, match=r"^MC\(257,1\) has 257 nodes, above the 256 all-pairs guard$"
+            ):
+                run(ring, mode, TrafficPattern.all_pairs())
+        # random traffic costs time linear in its count, so it stays unguarded
+        assert run(ring, mode, TrafficPattern.random_pairs(20, seed=1)).delivered == 20
+
 
 class TestReportExports:
     def test_csv_round_trip(self):
