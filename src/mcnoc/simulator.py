@@ -3,13 +3,16 @@
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  Source routing
-walks the path field of the offset's cached packet, as a router does (traffic
-yields in-range nodes only, so no pair is re-checked); greedy routing walks
-the greedy rule hop by hop and counts the hops without keeping the nodes.
+forwards the batch in one loop: it reads each offset's path field once into a
+run-local memo, refusing a field with codes past its hop slots, and walks
+that field for every packet at the offset, as a router does (traffic yields
+in-range nodes only, so no pair is re-checked).  Greedy routing walks the
+greedy rule hop by hop and counts the hops without keeping the nodes.
 Delivery is checked packet by packet; a packet that stops anywhere but its
 destination aborts the run with a RoutingError rather than being dropped
-silently.  One Counter of per-packet hop counts gives every figure of the
-report.
+silently.  One tally of per-packet hop counts gives every figure of the
+report: a list indexed by hop count when source routed, a Counter when
+greedy.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -24,10 +27,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, starmap
 
-from .errors import GuardLimitError, RoutingError
+from .errors import CorruptPacketError, GuardLimitError, RoutingError
 from .greedy_route import _hop_counter, greedy_path
 from .metrics import _bfs, diameter
-from .static_route import _by_code, _offset_packet, _tree_path, bits_per_hop
+from .static_route import OFFSET_CACHE_SIZE, _by_code, _offset_packet, _tree_path, bits_per_hop
 from .topology import CirculantSpec, _check_node, port_table
 
 MODES = ("source_routed", "greedy")
@@ -111,6 +114,13 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     and 0.7 s greedy on one Xeon core under CPython 3.11; MC(2,8), MC(4,4)
     and MC(16,2) take at most 0.2 s.  Random traffic is not guarded: its
     cost is linear in a count the caller chose.
+
+    Source routed, the run keeps a dict from offset to path field, filled
+    from ``_offset_packet`` the first time an offset comes up and capped at
+    OFFSET_CACHE_SIZE offsets, that cache's own size; past the cap, a miss
+    asks the cache again.  Admitting a field checks its hop count against
+    the diameter (ValueError) and refuses codes above its ``hops_encoded``
+    slots (CorruptPacketError), so no walk is longer than the capacity.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -125,12 +135,21 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
         b = bits_per_hop(spec)
         mask = (1 << b) - 1
         ports = len(offsets)
-
-        def hops_of(src: int, dst: int) -> int:
-            packet = _offset_packet(spec, (dst - src) % n)
-            if packet.hops_encoded > capacity:
-                raise ValueError(f"{packet.hops_encoded} hops exceed capacity {capacity}")
-            field = packet.path_field
+        fields = {}  # offset -> path field, admitted once per offset of this run
+        counts = [0] * (capacity + 1)
+        for src, dst in traffic.pairs(spec, default_seed=seed):
+            off = (dst - src) % n
+            field = fields.get(off)
+            if field is None:
+                packet = _offset_packet(spec, off)
+                encoded = packet.hops_encoded
+                if encoded > capacity:
+                    raise ValueError(f"{encoded} hops exceed capacity {capacity}")
+                field = packet.path_field
+                if field >> (encoded * b):
+                    raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
+                if len(fields) < OFFSET_CACHE_SIZE:
+                    fields[off] = field
             node = src
             hops = 0
             while field:
@@ -142,12 +161,11 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
                 hops += 1
             if node != dst:
                 raise RoutingError(f"packet for {dst} stopped at {node}")
-            return hops
-
+            counts[hops] += 1
+        histogram = {hops: count for hops, count in enumerate(counts) if count}
     else:
-        hops_of = _hop_counter(spec)
-    histogram = Counter(starmap(hops_of, traffic.pairs(spec, default_seed=seed)))
-    injected = histogram.total()
+        histogram = Counter(starmap(_hop_counter(spec), traffic.pairs(spec, default_seed=seed)))
+    injected = sum(histogram.values())
     total_hops = sum(hops * count for hops, count in histogram.items())
     max_hops = max(histogram, default=0)
     return SimReport(

@@ -17,8 +17,10 @@ first-found predecessor), which is the least port-code sequence among the
 shortest paths.  On MC(s, k) the digit DP in ``metrics`` computes it per
 offset; a general circulant walks its one cached BFS tree.  Because the
 encoded route depends only on the offset too, each (spec, offset) is encoded
-once, in a bounded cache: ``build_packet`` re-frames it per pair, and a
-source-routed ``simulator.run`` walks its field directly.
+once, in a cache bounded at OFFSET_CACHE_SIZE offsets: ``build_packet``
+re-frames it per pair, and a source-routed ``simulator.run`` reads its field
+once per offset into a run-local memo of the same bound, then walks that
+field for every pair at the offset.
 """
 
 from __future__ import annotations
@@ -176,13 +178,18 @@ def consume_step(
     )
 
 
-@lru_cache(maxsize=4096)
+OFFSET_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=OFFSET_CACHE_SIZE)
 def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
     """Encoded route 0 -> offset; by translation, the route of every pair at that offset.
 
     Every pair at the offset shares this one mutable packet, so no caller changes
     it or hands it out: ``build_packet`` copies it per call, and source-routed
-    ``simulator.run`` reads only its ``path_field`` and ``hops_encoded``.
+    ``simulator.run`` reads only its ``path_field`` and ``hops_encoded``, when
+    the offset first comes up in a run whose memo of fields (at most
+    OFFSET_CACHE_SIZE, as here) has no entry for it.
     """
     return encode_path(spec, path_to_actions(spec, _route(spec, offset)))
 

@@ -19,10 +19,11 @@ from mcnoc import (
     make_circulant,
     make_multiplicative,
     run,
+    shortest_path,
     sim_report_csv,
     sim_report_document,
 )
-from mcnoc import simulator
+from mcnoc import simulator, static_route
 from mcnoc.simulator import SIM_CSV_HEADER
 from mcnoc.topology import MAX_NODES
 
@@ -200,6 +201,57 @@ class TestRun:
         with pytest.raises(CorruptPacketError) as walked:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(walked.value) == str(stepped.value)
+
+    def test_field_past_its_hop_slots_aborts_the_run(self, monkeypatch):
+        # MC(2,3) codes +2, -2, +1 as 3, 2, 5: three hops that do reach 1, in a
+        # packet framed for one on a diameter-2 spec
+        spec = make_multiplicative(2, 3)
+        field = 0b101_010_011
+
+        def overlong(spec, offset):
+            return SourceRoutedPacket(None, field, 3, 1, 2)
+
+        monkeypatch.setattr(simulator, "_offset_packet", overlong)
+        with pytest.raises(CorruptPacketError) as refused:
+            run(spec, "source_routed", TrafficPattern.single(0, 1))
+        assert str(refused.value) == "path field has codes past its 1 hop slots"
+
+    def test_run_routes_each_offset_once(self, monkeypatch):
+        spec = make_multiplicative(4, 3)
+        calls = Counter()
+
+        def counted(spec, offset):
+            calls[offset] += 1
+            return static_route._offset_packet(spec, offset)
+
+        monkeypatch.setattr(simulator, "_offset_packet", counted)
+        run(spec, "source_routed", TrafficPattern.all_pairs())
+        assert calls == Counter(range(1, spec.n))
+
+    def test_offsets_past_the_memo_cap_fall_through_to_the_cache(self, monkeypatch):
+        # n = 6561 is odd: where 8 divides n, the LCG's pairs meet only n / 8 offsets
+        spec = make_multiplicative(3, 8)
+        traffic = TrafficPattern.random_pairs(20000, seed=5)
+        pairs = list(traffic.pairs(spec))
+        offsets = [(dst - src) % spec.n for src, dst in pairs]
+        distinct = list(dict.fromkeys(offsets))
+        assert len(distinct) > static_route.OFFSET_CACHE_SIZE
+        # the run keeps the first OFFSET_CACHE_SIZE offsets it meets; any other asks again
+        kept = set(distinct[: static_route.OFFSET_CACHE_SIZE])
+        calls = []
+
+        def counted(spec, offset):
+            calls.append(offset)
+            return static_route._offset_packet(spec, offset)
+
+        monkeypatch.setattr(simulator, "_offset_packet", counted)
+        report = run(spec, "source_routed", traffic)
+        assert len(calls) == len(kept) + sum(off not in kept for off in offsets)
+        tally = Counter(len(shortest_path(spec, src, dst)) - 1 for src, dst in pairs)
+        assert_report_is_the_tally(report, tally)
+
+    def test_memo_cap_is_the_cache_size(self):
+        assert static_route._offset_packet.cache_info().maxsize == static_route.OFFSET_CACHE_SIZE
 
     def test_greedy_needs_multiplicative(self):
         spec = make_circulant(12, [1, 3])
