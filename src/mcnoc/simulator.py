@@ -3,16 +3,17 @@
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  Source routing
-forwards the batch in one loop: it reads each offset's path field once into a
-run-local memo, refusing a field with codes past its hop slots, and walks
-that field for every packet at the offset, as a router does (traffic yields
-in-range nodes only, so no pair is re-checked).  Greedy routing walks the
-greedy rule hop by hop and counts the hops without keeping the nodes.
-Delivery is checked packet by packet; a packet that stops anywhere but its
-destination aborts the run with a RoutingError rather than being dropped
-silently.  One tally of per-packet hop counts gives every figure of the
-report: a list indexed by hop count when source routed, a Counter when
-greedy.
+forwards the batch in one loop.  Each spec keeps a memo from offset to path
+field: a field enters it once, after its hop count, its framing and every
+code are checked, and from then on every packet at that offset, in this run
+and later ones, walks it with a bare decode (mask, step, shift), as a router
+does (traffic yields in-range nodes only, so no pair is re-checked).  Greedy
+routing walks the greedy rule hop by hop and counts the hops without keeping
+the nodes.  Delivery is checked packet by packet; a packet that stops
+anywhere but its destination aborts the run with a RoutingError rather than
+being dropped silently.  One tally of per-packet hop counts gives every
+figure of the report: a list indexed by hop count when source routed, a
+Counter when greedy.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -25,7 +26,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, starmap
+from typing import NamedTuple
 
 from .errors import CorruptPacketError, GuardLimitError, RoutingError
 from .greedy_route import _hop_counter, greedy_path
@@ -104,6 +107,54 @@ class SimReport:
     total_cycles: int
 
 
+class _SourceRouter(NamedTuple):
+    """What a source-routed run needs of one spec, built once per spec."""
+
+    n: int
+    offsets: tuple[int, ...]  # hop offset of port code c at index c - 1
+    steps: tuple  # the same offsets at index c; index 0, the terminator, is never walked
+    bits: int
+    mask: int
+    capacity: int  # the diameter: the longest route, and the tally's last slot
+    fields: dict  # offset -> admitted path field, at most OFFSET_CACHE_SIZE of them
+
+
+@lru_cache(maxsize=8)
+def _source_router(spec: CirculantSpec) -> _SourceRouter:
+    offsets = port_table(spec).offsets
+    b = bits_per_hop(spec)
+    return _SourceRouter(spec.n, offsets, (None, *offsets), b, (1 << b) - 1, diameter(spec), {})
+
+
+def _admit(spec: CirculantSpec, off: int) -> int:
+    """The path field of offset off, checked in full before any packet walks it.
+
+    The field comes from ``_offset_packet``.  Its hop count must fit the
+    capacity (ValueError), it may hold no code past its ``hops_encoded`` slots
+    and every code up to the terminator must name a port (CorruptPacketError).
+    A field that passes and leads from 0 to off enters the spec's memo while
+    the memo holds fewer than OFFSET_CACHE_SIZE fields.  A refused field
+    never does, and one that leads elsewhere is returned unstored, so its
+    packet fails the delivery check: a bad cache entry cannot reach a later run.
+    """
+    n, offsets, _, b, mask, capacity, fields = _source_router(spec)
+    packet = _offset_packet(spec, off)
+    encoded = packet.hops_encoded
+    if encoded > capacity:
+        raise ValueError(f"{encoded} hops exceed capacity {capacity}")
+    field = packet.path_field
+    if field >> (encoded * b):
+        raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
+    end = 0
+    rest = field
+    while rest:
+        end = (end + _by_code(offsets, rest & mask)) % n
+        rest >>= b
+    if end == off and len(fields) < OFFSET_CACHE_SIZE:
+        fields[off] = field
+    return field
+
+
 def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) -> SimReport:
     """Inject the traffic pattern, forward every packet, and tally the run.
 
@@ -115,12 +166,16 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     and MC(16,2) take at most 0.2 s.  Random traffic is not guarded: its
     cost is linear in a count the caller chose.
 
-    Source routed, the run keeps a dict from offset to path field, filled
-    from ``_offset_packet`` the first time an offset comes up and capped at
-    OFFSET_CACHE_SIZE offsets, that cache's own size; past the cap, a miss
-    asks the cache again.  Admitting a field checks its hop count against
-    the diameter (ValueError) and refuses codes above its ``hops_encoded``
-    slots (CorruptPacketError), so no walk is longer than the capacity.
+    Source routed, the run reads the spec's ``_source_router`` record once:
+    its port steps, slot width, capacity (the diameter) and its memo from
+    offset to path field, which lives as long as the record (the last 8
+    specs), not one run.  An offset missing from the memo is admitted by
+    ``_admit``, which reads ``_offset_packet`` and checks the field in full;
+    the memo holds at most OFFSET_CACHE_SIZE fields, that cache's own size,
+    and past the cap a miss asks the cache again.  So no walk is longer than
+    the capacity and no walked code is out of range, and each hop is a bare
+    mask, step and shift; every packet is still walked hop by hop and its
+    delivery checked.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -129,34 +184,17 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
             f"{spec.label} has {spec.n} nodes, above the {ALL_PAIRS_NODE_LIMIT} all-pairs guard"
         )
     if mode == "source_routed":
-        capacity = diameter(spec)
-        n = spec.n
-        offsets = port_table(spec).offsets
-        b = bits_per_hop(spec)
-        mask = (1 << b) - 1
-        ports = len(offsets)
-        fields = {}  # offset -> path field, admitted once per offset of this run
+        n, _, steps, b, mask, capacity, fields = _source_router(spec)
         counts = [0] * (capacity + 1)
         for src, dst in traffic.pairs(spec, default_seed=seed):
             off = (dst - src) % n
             field = fields.get(off)
             if field is None:
-                packet = _offset_packet(spec, off)
-                encoded = packet.hops_encoded
-                if encoded > capacity:
-                    raise ValueError(f"{encoded} hops exceed capacity {capacity}")
-                field = packet.path_field
-                if field >> (encoded * b):
-                    raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
-                if len(fields) < OFFSET_CACHE_SIZE:
-                    fields[off] = field
+                field = _admit(spec, off)
             node = src
             hops = 0
             while field:
-                code = field & mask
-                if not 0 < code <= ports:
-                    _by_code(offsets, code)  # raises with the one message
-                node = (node + offsets[code - 1]) % n
+                node = (node + steps[field & mask]) % n
                 field >>= b
                 hops += 1
             if node != dst:

@@ -18,9 +18,10 @@ shortest paths.  On MC(s, k) the digit DP in ``metrics`` computes it per
 offset; a general circulant walks its one cached BFS tree.  Because the
 encoded route depends only on the offset too, each (spec, offset) is encoded
 once, in a cache bounded at OFFSET_CACHE_SIZE offsets: ``build_packet``
-re-frames it per pair, and a source-routed ``simulator.run`` reads its field
-once per offset into a run-local memo of the same bound, then walks that
-field for every pair at the offset.
+re-frames it per pair, and a source-routed ``simulator.run`` admits its field
+once per spec and offset into a per-spec memo of the same bound, checking
+every code there, then walks that field for every pair at the offset, in
+that run and later ones.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
 
 def path_to_actions(spec: CirculantSpec, path: list[int]) -> list[HopAction]:
     """Translate consecutive node pairs into hop actions."""
+    for v in path:
+        _check_node(spec, "node", v)
     n = spec.n
     action_of = port_table(spec).by_offset
     actions = []
@@ -188,8 +191,8 @@ def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
     Every pair at the offset shares this one mutable packet, so no caller changes
     it or hands it out: ``build_packet`` copies it per call, and source-routed
     ``simulator.run`` reads only its ``path_field`` and ``hops_encoded``, when
-    the offset first comes up in a run whose memo of fields (at most
-    OFFSET_CACHE_SIZE, as here) has no entry for it.
+    the spec's memo of admitted fields (kept across runs, at most
+    OFFSET_CACHE_SIZE, as here) has no entry for the offset.
     """
     return encode_path(spec, path_to_actions(spec, _route(spec, offset)))
 

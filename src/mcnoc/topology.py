@@ -188,8 +188,9 @@ def port_count(spec: CirculantSpec) -> int:
 
 
 def apply_action(spec: CirculantSpec, v: int, action: HopAction) -> int:
-    """Node reached from v by one hop along the given action."""
-    return (v + action.sign * spec.generatrices[action.gen_index]) % spec.n
+    """Node reached from v by one hop along the given action, which must be a port."""
+    table = port_table(spec)
+    return (v + table.offsets[table.code(action) - 1]) % spec.n
 
 
 def neighbor_offsets(spec: CirculantSpec) -> tuple[int, ...]:

@@ -1,13 +1,15 @@
 import json
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcnoc import (
     CorruptPacketError,
     GuardLimitError,
+    RoutingError,
     SourceRoutedPacket,
     TrafficPattern,
     average_distance,
@@ -37,6 +39,21 @@ def mc_specs(draw):
     while top**k > MAX_NODES:
         top -= 1
     return make_multiplicative(draw(st.integers(3 if k == 1 else 2, top)), k)
+
+
+@pytest.fixture
+def cold_memo():
+    """A fresh per-spec source router, so a run admits every offset it meets anew."""
+    simulator._source_router.cache_clear()
+
+
+@st.composite
+def circulant_specs(draw):
+    """Connected circulants up to 24 nodes, diametral generatrices included."""
+    n = draw(st.integers(5, 24))
+    gens = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+    assume(math.gcd(n, *gens) == 1)
+    return make_circulant(n, sorted(gens))
 
 
 def walked_histogram(spec, traffic):
@@ -186,7 +203,7 @@ class TestRun:
             (0b111_001, 2, 7),  # one good hop, then an unused code
         ],
     )
-    def test_corrupt_field_aborts_the_run(self, monkeypatch, field, hops, code):
+    def test_corrupt_field_aborts_the_run(self, cold_memo, monkeypatch, field, hops, code):
         spec = make_multiplicative(2, 3)
 
         def corrupt(spec, offset):
@@ -202,7 +219,7 @@ class TestRun:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(walked.value) == str(stepped.value)
 
-    def test_field_past_its_hop_slots_aborts_the_run(self, monkeypatch):
+    def test_field_past_its_hop_slots_aborts_the_run(self, cold_memo, monkeypatch):
         # MC(2,3) codes +2, -2, +1 as 3, 2, 5: three hops that do reach 1, in a
         # packet framed for one on a diameter-2 spec
         spec = make_multiplicative(2, 3)
@@ -216,7 +233,7 @@ class TestRun:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(refused.value) == "path field has codes past its 1 hop slots"
 
-    def test_run_routes_each_offset_once(self, monkeypatch):
+    def test_run_routes_each_offset_once(self, cold_memo, monkeypatch):
         spec = make_multiplicative(4, 3)
         calls = Counter()
 
@@ -227,8 +244,12 @@ class TestRun:
         monkeypatch.setattr(simulator, "_offset_packet", counted)
         run(spec, "source_routed", TrafficPattern.all_pairs())
         assert calls == Counter(range(1, spec.n))
+        # the memo outlives the run: a second one admits nothing
+        calls.clear()
+        run(spec, "source_routed", TrafficPattern.all_pairs())
+        assert calls == Counter()
 
-    def test_offsets_past_the_memo_cap_fall_through_to_the_cache(self, monkeypatch):
+    def test_offsets_past_the_memo_cap_fall_through_to_the_cache(self, cold_memo, monkeypatch):
         # n = 6561 is odd: where 8 divides n, the LCG's pairs meet only n / 8 offsets
         spec = make_multiplicative(3, 8)
         traffic = TrafficPattern.random_pairs(20000, seed=5)
@@ -252,6 +273,67 @@ class TestRun:
 
     def test_memo_cap_is_the_cache_size(self):
         assert static_route._offset_packet.cache_info().maxsize == static_route.OFFSET_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "packet, error, message",
+        [
+            # code 7 names no port of MC(2,3)
+            (SourceRoutedPacket(None, 0b111_001, 3, 2, 3), CorruptPacketError,
+             "hop code 7 outside 1..5"),
+            # codes +2, -2, +1 reach 1, in a packet framed for one hop
+            (SourceRoutedPacket(None, 0b101_010_011, 3, 1, 2), CorruptPacketError,
+             "path field has codes past its 1 hop slots"),
+            # the same three hops, framed as three on a diameter-2 spec
+            (SourceRoutedPacket(None, 0b101_010_011, 3, 3, 3), ValueError,
+             "3 hops exceed capacity 2"),
+            # a well-formed field that leads to 2, not 1
+            (SourceRoutedPacket(None, 0b011, 3, 1, 2), RoutingError,
+             "packet for 1 stopped at 2"),
+        ],
+    )
+    def test_a_refused_field_never_reaches_a_later_run(
+        self, cold_memo, monkeypatch, packet, error, message
+    ):
+        spec = make_multiplicative(2, 3)
+        traffic = TrafficPattern.single(0, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_offset_packet", lambda spec, offset: packet)
+            with pytest.raises(error) as refused:
+                run(spec, "source_routed", traffic)
+            assert str(refused.value) == message
+        assert 1 not in simulator._source_router(spec).fields
+        for pattern in (traffic, TrafficPattern.all_pairs()):
+            tally = Counter(len(shortest_path(spec, a, b)) - 1 for a, b in pattern.pairs(spec))
+            assert_report_is_the_tally(run(spec, "source_routed", pattern), tally)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(make_multiplicative, st.integers(2, 4), st.integers(2, 3)),
+            circulant_specs(),
+        ),
+        st.one_of(
+            st.just(TrafficPattern.all_pairs()),
+            st.builds(TrafficPattern.random_pairs, st.integers(1, 80), st.integers(0, 2**32 - 1)),
+        ),
+    )
+    @example(make_circulant(16, [1, 8]), TrafficPattern.all_pairs())
+    @example(make_circulant(20, [3, 10]), TrafficPattern.all_pairs())
+    def test_a_warm_run_equals_a_cold_one(self, spec, traffic):
+        simulator._source_router.cache_clear()
+        cold = run(spec, "source_routed", traffic)
+        warm = run(spec, "source_routed", traffic)
+        assert warm == cold
+        tally = Counter(len(shortest_path(spec, a, b)) - 1 for a, b in traffic.pairs(spec))
+        assert_report_is_the_tally(cold, tally)
+
+    def test_the_router_keeps_the_last_8_specs(self):
+        assert simulator._source_router.cache_info().maxsize == 8
+
+    def test_the_memo_holds_at_most_the_cache_size(self, cold_memo):
+        spec = make_multiplicative(3, 8)
+        run(spec, "source_routed", TrafficPattern.random_pairs(20000, seed=5))
+        assert len(simulator._source_router(spec).fields) == static_route.OFFSET_CACHE_SIZE
 
     def test_greedy_needs_multiplicative(self):
         spec = make_circulant(12, [1, 3])

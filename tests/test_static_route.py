@@ -320,6 +320,14 @@ class TestEncoding:
         with pytest.raises(ValueError):
             path_to_actions(make_multiplicative(2, 4), [0, 3])
 
+    @pytest.mark.parametrize("path", [[0, 9], [9, 0], [-1, 0], [8]])
+    def test_path_to_actions_refuses_nodes_out_of_range(self, path):
+        # 9 - 0 = 9 = 1 (mod 8) would otherwise pass for a +1 hop
+        with pytest.raises(ValueError) as refused:
+            path_to_actions(make_multiplicative(2, 3), path)
+        bad = next(v for v in path if not 0 <= v < 8)
+        assert str(refused.value) == f"node {bad} outside 0..7"
+
 
 class TestConsume:
     def test_reference_sequence(self):

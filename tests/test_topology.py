@@ -197,6 +197,20 @@ class TestPorts:
         for u, action in neighbors(spec, v):
             assert apply_action(spec, v, action) == u
 
+    @pytest.mark.parametrize(
+        "action",
+        [
+            HopAction(5, 1),  # MC(2,3) has generatrices 0..2 only
+            HopAction(0, 2),  # a sign is +1 or -1
+            HopAction(2, -1),  # generatrix 4 of n = 8 is diametral: its one port is +1
+        ],
+    )
+    def test_apply_action_refuses_what_is_not_a_port(self, action):
+        spec = make_multiplicative(2, 3)
+        with pytest.raises(ValueError) as refused:
+            apply_action(spec, 0, action)
+        assert str(refused.value) == f"{action} is not a port of this topology"
+
 
 class TestAgainstNetworkx:
     @pytest.mark.parametrize(
