@@ -3,17 +3,14 @@
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  Source routing
-forwards the batch in one loop.  Each spec keeps a memo from offset to path
-field: a field enters it once, after its hop count, its framing and every
-code are checked, and from then on every packet at that offset, in this run
-and later ones, walks it with a bare decode (mask, step, shift), as a router
-does (traffic yields in-range nodes only, so no pair is re-checked).  Greedy
-routing walks the greedy rule hop by hop and counts the hops without keeping
-the nodes.  Delivery is checked packet by packet; a packet that stops
-anywhere but its destination aborts the run with a RoutingError rather than
-being dropped silently.  One tally of per-packet hop counts gives every
-figure of the report: a list indexed by hop count when source routed, a
-Counter when greedy.
+hands the batch to ``static_route._hop_tally``, which walks each packet's
+admitted path field as a router does (traffic yields in-range nodes only, so
+no pair is re-checked).  Greedy routing walks the greedy rule hop by hop and
+counts the hops without keeping the nodes.  Delivery is checked packet by
+packet; a packet that stops anywhere but its destination aborts the run with
+a RoutingError rather than being dropped silently.  One tally of per-packet
+hop counts gives every figure of the report: a list indexed by hop count when
+source routed, a Counter when greedy.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -26,15 +23,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, starmap
-from typing import NamedTuple
 
-from .errors import CorruptPacketError, GuardLimitError, RoutingError
+from .errors import GuardLimitError
 from .greedy_route import _hop_counter, greedy_path
-from .metrics import _bfs, diameter
-from .static_route import OFFSET_CACHE_SIZE, _by_code, _offset_packet, _tree_path, bits_per_hop
-from .topology import CirculantSpec, _check_node, port_table
+from .metrics import _bfs
+from .static_route import _hop_tally, _tree_path
+from .topology import CirculantSpec, _check_node
 
 MODES = ("source_routed", "greedy")
 
@@ -107,54 +102,6 @@ class SimReport:
     total_cycles: int
 
 
-class _SourceRouter(NamedTuple):
-    """What a source-routed run needs of one spec, built once per spec."""
-
-    n: int
-    offsets: tuple[int, ...]  # hop offset of port code c at index c - 1
-    steps: tuple  # the same offsets at index c; index 0, the terminator, is never walked
-    bits: int
-    mask: int
-    capacity: int  # the diameter: the longest route, and the tally's last slot
-    fields: dict  # offset -> admitted path field, at most OFFSET_CACHE_SIZE of them
-
-
-@lru_cache(maxsize=8)
-def _source_router(spec: CirculantSpec) -> _SourceRouter:
-    offsets = port_table(spec).offsets
-    b = bits_per_hop(spec)
-    return _SourceRouter(spec.n, offsets, (None, *offsets), b, (1 << b) - 1, diameter(spec), {})
-
-
-def _admit(spec: CirculantSpec, off: int) -> int:
-    """The path field of offset off, checked in full before any packet walks it.
-
-    The field comes from ``_offset_packet``.  Its hop count must fit the
-    capacity (ValueError), it may hold no code past its ``hops_encoded`` slots
-    and every code up to the terminator must name a port (CorruptPacketError).
-    A field that passes and leads from 0 to off enters the spec's memo while
-    the memo holds fewer than OFFSET_CACHE_SIZE fields.  A refused field
-    never does, and one that leads elsewhere is returned unstored, so its
-    packet fails the delivery check: a bad cache entry cannot reach a later run.
-    """
-    n, offsets, _, b, mask, capacity, fields = _source_router(spec)
-    packet = _offset_packet(spec, off)
-    encoded = packet.hops_encoded
-    if encoded > capacity:
-        raise ValueError(f"{encoded} hops exceed capacity {capacity}")
-    field = packet.path_field
-    if field >> (encoded * b):
-        raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
-    end = 0
-    rest = field
-    while rest:
-        end = (end + _by_code(offsets, rest & mask)) % n
-        rest >>= b
-    if end == off and len(fields) < OFFSET_CACHE_SIZE:
-        fields[off] = field
-    return field
-
-
 def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) -> SimReport:
     """Inject the traffic pattern, forward every packet, and tally the run.
 
@@ -166,16 +113,10 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     and MC(16,2) take at most 0.2 s.  Random traffic is not guarded: its
     cost is linear in a count the caller chose.
 
-    Source routed, the run reads the spec's ``_source_router`` record once:
-    its port steps, slot width, capacity (the diameter) and its memo from
-    offset to path field, which lives as long as the record (the last 8
-    specs), not one run.  An offset missing from the memo is admitted by
-    ``_admit``, which reads ``_offset_packet`` and checks the field in full;
-    the memo holds at most OFFSET_CACHE_SIZE fields, that cache's own size,
-    and past the cap a miss asks the cache again.  So no walk is longer than
-    the capacity and no walked code is out of range, and each hop is a bare
-    mask, step and shift; every packet is still walked hop by hop and its
-    delivery checked.
+    Source routed, the run makes one call to ``static_route._hop_tally``,
+    which reads the spec's offset -> path-field memo, admits each missing
+    offset once per spec (every code checked), and walks every packet hop
+    by hop with a bare decode, checking its delivery.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -184,22 +125,7 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
             f"{spec.label} has {spec.n} nodes, above the {ALL_PAIRS_NODE_LIMIT} all-pairs guard"
         )
     if mode == "source_routed":
-        n, _, steps, b, mask, capacity, fields = _source_router(spec)
-        counts = [0] * (capacity + 1)
-        for src, dst in traffic.pairs(spec, default_seed=seed):
-            off = (dst - src) % n
-            field = fields.get(off)
-            if field is None:
-                field = _admit(spec, off)
-            node = src
-            hops = 0
-            while field:
-                node = (node + steps[field & mask]) % n
-                field >>= b
-                hops += 1
-            if node != dst:
-                raise RoutingError(f"packet for {dst} stopped at {node}")
-            counts[hops] += 1
+        counts = _hop_tally(spec, traffic.pairs(spec, default_seed=seed))
         histogram = {hops: count for hops, count in enumerate(counts) if count}
     else:
         histogram = Counter(starmap(_hop_counter(spec), traffic.pairs(spec, default_seed=seed)))

@@ -15,21 +15,20 @@ every (src, dst) pair maps to one reproducible path.  That route is the one
 a breadth-first search from node 0 records (FIFO, ascending port codes,
 first-found predecessor), which is the least port-code sequence among the
 shortest paths.  On MC(s, k) the digit DP in ``metrics`` computes it per
-offset; a general circulant walks its one cached BFS tree.  Because the
-encoded route depends only on the offset too, each (spec, offset) is encoded
-once, in a cache bounded at OFFSET_CACHE_SIZE offsets: ``build_packet``
-re-frames it per pair, and a source-routed ``simulator.run`` admits its field
-once per spec and offset into a per-spec memo of the same bound, checking
-every code there, then walks that field for every pair at the offset, in
-that run and later ones.
+offset; a general circulant walks its one cached BFS tree.  The encoded
+route depends only on the offset too, so each spec keeps one memo from offset
+to path field (``_routes``, at most OFFSET_CACHE_SIZE fields), which admits
+a field once after checking every code.  ``build_packet`` frames it per pair
+and a source-routed ``simulator.run`` walks it for every pair at the offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import CorruptPacketError
+from .errors import CorruptPacketError, RoutingError
 from .metrics import _check_size, _digit_hops, _tree, diameter
 from .topology import CirculantSpec, HopAction, _check_node, port_table
 
@@ -181,31 +180,102 @@ def consume_step(
     )
 
 
-OFFSET_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=OFFSET_CACHE_SIZE)
 def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
-    """Encoded route 0 -> offset; by translation, the route of every pair at that offset.
-
-    Every pair at the offset shares this one mutable packet, so no caller changes
-    it or hands it out: ``build_packet`` copies it per call, and source-routed
-    ``simulator.run`` reads only its ``path_field`` and ``hops_encoded``, when
-    the spec's memo of admitted fields (kept across runs, at most
-    OFFSET_CACHE_SIZE, as here) has no entry for the offset.
-    """
+    """Encoded route 0 -> offset; by translation, the route of every pair at that offset."""
     return encode_path(spec, path_to_actions(spec, _route(spec, offset)))
+
+
+OFFSET_CACHE_SIZE = 8192
+
+
+class _Routes(NamedTuple):
+    """What forwarding on the path field needs of one spec, built once per spec."""
+
+    n: int
+    offsets: tuple[int, ...]  # hop offset of port code c at index c - 1
+    steps: tuple  # the same offsets at index c; index 0, the terminator, is never walked
+    bits: int
+    mask: int
+    capacity: int  # the diameter: the longest route, and the tally's last slot
+    fields: dict  # offset -> admitted path field, at most OFFSET_CACHE_SIZE of them
+
+
+@lru_cache(maxsize=8)
+def _routes(spec: CirculantSpec) -> _Routes:
+    offsets = port_table(spec).offsets
+    b = bits_per_hop(spec)
+    return _Routes(spec.n, offsets, (None, *offsets), b, (1 << b) - 1, diameter(spec), {})
+
+
+def _field(spec: CirculantSpec, off: int) -> int:
+    """The path field of offset off, from the spec's memo or checked in full first.
+
+    A field missing from the memo comes from ``_offset_packet``.  Its hop
+    count must fit the capacity (ValueError), it may hold no code past its
+    ``hops_encoded`` slots and every code up to the terminator must name a
+    port (CorruptPacketError).  A field that passes and leads from 0 to off
+    enters the memo while it holds fewer than OFFSET_CACHE_SIZE fields.  A
+    refused field never does, and one that leads elsewhere is returned
+    unstored, so its packet fails ``_hop_tally``'s delivery check: a bad
+    encoding cannot reach a later call.
+    """
+    n, offsets, _, b, mask, capacity, fields = _routes(spec)
+    field = fields.get(off)
+    if field is not None:
+        return field
+    packet = _offset_packet(spec, off)
+    encoded = packet.hops_encoded
+    if encoded > capacity:
+        raise ValueError(f"{encoded} hops exceed capacity {capacity}")
+    field = packet.path_field
+    if field >> (encoded * b):
+        raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
+    end = 0
+    rest = field
+    while rest:
+        end = (end + _by_code(offsets, rest & mask)) % n
+        rest >>= b
+    if end == off and len(fields) < OFFSET_CACHE_SIZE:
+        fields[off] = field
+    return field
 
 
 def build_packet(
     spec: CirculantSpec, src: int, dst: int, hop_capacity: int | None = None
 ) -> SourceRoutedPacket:
     """Encode the shortest route src -> dst, sized for hop_capacity (default: the diameter)."""
-    packet = _offset_packet(spec, _offset(spec, src, dst))
+    field = _field(spec, _offset(spec, src, dst))
+    routes = _routes(spec)
+    b = routes.bits
+    hops = -(-field.bit_length() // b)  # admission left no 0 slot under the top code
     if hop_capacity is None:
-        hop_capacity = diameter(spec)
-    if packet.hops_encoded > hop_capacity:
-        raise ValueError(f"{packet.hops_encoded} hops exceed capacity {hop_capacity}")
-    return SourceRoutedPacket(
-        dst, packet.path_field, packet.bits_per_hop, packet.hops_encoded, hop_capacity
-    )
+        hop_capacity = routes.capacity
+    if hops > hop_capacity:
+        raise ValueError(f"{hops} hops exceed capacity {hop_capacity}")
+    return SourceRoutedPacket(dst, field, b, hops, hop_capacity)
+
+
+def _hop_tally(spec: CirculantSpec, pairs) -> list[int]:
+    """Forward each (src, dst) pair on its offset's field; slot h counts the h-hop packets.
+
+    A memo hit is one dict lookup and each hop a bare decode (mask, step,
+    add mod n, shift): ``_field`` checked every code.  A packet that stops
+    anywhere but its destination raises RoutingError.
+    """
+    n, _, steps, b, mask, capacity, fields = _routes(spec)
+    counts = [0] * (capacity + 1)
+    for src, dst in pairs:
+        off = (dst - src) % n
+        field = fields.get(off)
+        if field is None:
+            field = _field(spec, off)
+        node = src
+        hops = 0
+        while field:
+            node = (node + steps[field & mask]) % n
+            field >>= b
+            hops += 1
+        if node != dst:
+            raise RoutingError(f"packet for {dst} stopped at {node}")
+        counts[hops] += 1
+    return counts

@@ -51,6 +51,8 @@ class CirculantSpec:
     generatrices: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n > MAX_NODES:
+            raise GuardLimitError(f"n={_int_text(self.n)} is above the {MAX_NODES} node guard")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got n={self.n}")
         gens = tuple(self.generatrices)
@@ -199,6 +201,8 @@ def neighbor_offsets(spec: CirculantSpec) -> tuple[int, ...]:
 
 
 def _check_node(spec: CirculantSpec, name: str, v: int):
+    if type(v) is not int:  # bool and float compare like ints but are not node ids
+        raise ValueError(f"{name} {v!r} is not an integer")
     if not 0 <= v < spec.n:
         raise ValueError(f"{name} {v} outside 0..{spec.n - 1}")
 

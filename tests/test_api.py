@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ from mcnoc import (
     make_multiplicative,
     neighbors,
     next_hop,
+    path_to_actions,
     relative_dest,
     shortest_path,
 )
@@ -34,6 +36,7 @@ NODE_ARGUMENTS = [
     ("relative_dest", "current", lambda v: relative_dest(SPEC, v, 3)),
     ("relative_dest", "destination", lambda v: relative_dest(SPEC, 3, v)),
     ("neighbors", "node", lambda v: neighbors(SPEC, v)),
+    ("path_to_actions", "node", lambda v: path_to_actions(SPEC, [v])),
     ("bfs_distances", "source", lambda v: bfs_distances(SPEC, v)),
     ("single.pairs", "source", lambda v: list(TrafficPattern.single(v, 3).pairs(SPEC))),
     ("single.pairs", "destination", lambda v: list(TrafficPattern.single(3, v).pairs(SPEC))),
@@ -48,6 +51,18 @@ NODE_ARGUMENTS = [
 )
 def test_node_range_message(name, call, bad):
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {bad} outside 0..15')}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5])
+@pytest.mark.parametrize(
+    "name, call",
+    [(name, call) for _, name, call in NODE_ARGUMENTS],
+    ids=[f"{entry}-{name}" for entry, name, _ in NODE_ARGUMENTS],
+)
+def test_node_type_message(name, call, bad):
+    # bool and float compare like ints, so a range check alone let them through
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {bad!r} is not an integer')}$"):
         call(bad)
 
 
@@ -157,3 +172,26 @@ def test_importing_the_package_loads_no_module_until_asked():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['mcnoc'] True False\n"
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mcnoc").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # no linter is a dependency, so this is the dead-import check; a name
+    # listed as a string (an export table) counts as used
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert {name: line for name, line in imported.items() if name not in used} == {}

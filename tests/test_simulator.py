@@ -15,6 +15,7 @@ from mcnoc import (
     average_distance,
     bench_route_computation,
     bfs_distances,
+    build_packet,
     consume_step,
     diameter,
     greedy_path,
@@ -43,8 +44,8 @@ def mc_specs(draw):
 
 @pytest.fixture
 def cold_memo():
-    """A fresh per-spec source router, so a run admits every offset it meets anew."""
-    simulator._source_router.cache_clear()
+    """A fresh per-spec field memo, so a run admits every offset it meets anew."""
+    static_route._routes.cache_clear()
 
 
 @st.composite
@@ -214,7 +215,7 @@ class TestRun:
             while packet.path_field:
                 packet = consume_step(spec, packet)[1]
         assert str(stepped.value) == f"hop code {code} outside 1..5"
-        monkeypatch.setattr(simulator, "_offset_packet", corrupt)
+        monkeypatch.setattr(static_route, "_offset_packet", corrupt)
         with pytest.raises(CorruptPacketError) as walked:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(walked.value) == str(stepped.value)
@@ -228,30 +229,36 @@ class TestRun:
         def overlong(spec, offset):
             return SourceRoutedPacket(None, field, 3, 1, 2)
 
-        monkeypatch.setattr(simulator, "_offset_packet", overlong)
+        monkeypatch.setattr(static_route, "_offset_packet", overlong)
         with pytest.raises(CorruptPacketError) as refused:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(refused.value) == "path field has codes past its 1 hop slots"
 
-    def test_run_routes_each_offset_once(self, cold_memo, monkeypatch):
+    def test_run_routes_each_offset_once(self, encodes):
         spec = make_multiplicative(4, 3)
-        calls = Counter()
-
-        def counted(spec, offset):
-            calls[offset] += 1
-            return static_route._offset_packet(spec, offset)
-
-        monkeypatch.setattr(simulator, "_offset_packet", counted)
         run(spec, "source_routed", TrafficPattern.all_pairs())
-        assert calls == Counter(range(1, spec.n))
+        assert encodes == Counter(range(1, spec.n))
         # the memo outlives the run: a second one admits nothing
-        calls.clear()
+        encodes.clear()
         run(spec, "source_routed", TrafficPattern.all_pairs())
-        assert calls == Counter()
+        assert encodes == Counter()
+        # and build_packet reads the same memo
+        for src, dst in TrafficPattern.all_pairs().pairs(spec):
+            build_packet(spec, src, dst)
+        assert encodes == Counter()
 
-    def test_offsets_past_the_memo_cap_fall_through_to_the_cache(self, cold_memo, monkeypatch):
-        # n = 6561 is odd: where 8 divides n, the LCG's pairs meet only n / 8 offsets
-        spec = make_multiplicative(3, 8)
+    def test_a_build_packet_sweep_leaves_a_run_nothing_to_admit(self, encodes):
+        spec = make_multiplicative(4, 3)
+        for src, dst in TrafficPattern.all_pairs().pairs(spec):
+            build_packet(spec, src, dst)
+        assert encodes == Counter(range(1, spec.n))
+        encodes.clear()
+        run(spec, "source_routed", TrafficPattern.all_pairs())
+        assert encodes == Counter()
+
+    def test_offsets_past_the_memo_cap_fall_through_to_the_encoder(self, encodes):
+        # n = 19683 is odd: where 8 divides n, the LCG's pairs meet only n / 8 offsets
+        spec = make_multiplicative(3, 9)
         traffic = TrafficPattern.random_pairs(20000, seed=5)
         pairs = list(traffic.pairs(spec))
         offsets = [(dst - src) % spec.n for src, dst in pairs]
@@ -259,20 +266,10 @@ class TestRun:
         assert len(distinct) > static_route.OFFSET_CACHE_SIZE
         # the run keeps the first OFFSET_CACHE_SIZE offsets it meets; any other asks again
         kept = set(distinct[: static_route.OFFSET_CACHE_SIZE])
-        calls = []
-
-        def counted(spec, offset):
-            calls.append(offset)
-            return static_route._offset_packet(spec, offset)
-
-        monkeypatch.setattr(simulator, "_offset_packet", counted)
         report = run(spec, "source_routed", traffic)
-        assert len(calls) == len(kept) + sum(off not in kept for off in offsets)
+        assert sum(encodes.values()) == len(kept) + sum(off not in kept for off in offsets)
         tally = Counter(len(shortest_path(spec, src, dst)) - 1 for src, dst in pairs)
         assert_report_is_the_tally(report, tally)
-
-    def test_memo_cap_is_the_cache_size(self):
-        assert static_route._offset_packet.cache_info().maxsize == static_route.OFFSET_CACHE_SIZE
 
     @pytest.mark.parametrize(
         "packet, error, message",
@@ -297,11 +294,19 @@ class TestRun:
         spec = make_multiplicative(2, 3)
         traffic = TrafficPattern.single(0, 1)
         with monkeypatch.context() as patch:
-            patch.setattr(simulator, "_offset_packet", lambda spec, offset: packet)
+            patch.setattr(static_route, "_offset_packet", lambda spec, offset: packet)
             with pytest.raises(error) as refused:
                 run(spec, "source_routed", traffic)
             assert str(refused.value) == message
-        assert 1 not in simulator._source_router(spec).fields
+            # build_packet reads the same memo and admits the field anew
+            if error is RoutingError:
+                # it walks nothing, so it frames the unstored field as it is
+                assert build_packet(spec, 0, 1).path_field == packet.path_field
+            else:
+                with pytest.raises(error) as built:
+                    build_packet(spec, 0, 1)
+                assert str(built.value) == message
+        assert 1 not in static_route._routes(spec).fields
         for pattern in (traffic, TrafficPattern.all_pairs()):
             tally = Counter(len(shortest_path(spec, a, b)) - 1 for a, b in pattern.pairs(spec))
             assert_report_is_the_tally(run(spec, "source_routed", pattern), tally)
@@ -320,7 +325,7 @@ class TestRun:
     @example(make_circulant(16, [1, 8]), TrafficPattern.all_pairs())
     @example(make_circulant(20, [3, 10]), TrafficPattern.all_pairs())
     def test_a_warm_run_equals_a_cold_one(self, spec, traffic):
-        simulator._source_router.cache_clear()
+        static_route._routes.cache_clear()
         cold = run(spec, "source_routed", traffic)
         warm = run(spec, "source_routed", traffic)
         assert warm == cold
@@ -328,12 +333,12 @@ class TestRun:
         assert_report_is_the_tally(cold, tally)
 
     def test_the_router_keeps_the_last_8_specs(self):
-        assert simulator._source_router.cache_info().maxsize == 8
+        assert static_route._routes.cache_info().maxsize == 8
 
     def test_the_memo_holds_at_most_the_cache_size(self, cold_memo):
-        spec = make_multiplicative(3, 8)
+        spec = make_multiplicative(3, 9)
         run(spec, "source_routed", TrafficPattern.random_pairs(20000, seed=5))
-        assert len(simulator._source_router(spec).fields) == static_route.OFFSET_CACHE_SIZE
+        assert len(static_route._routes(spec).fields) == static_route.OFFSET_CACHE_SIZE
 
     def test_greedy_needs_multiplicative(self):
         spec = make_circulant(12, [1, 3])

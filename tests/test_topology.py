@@ -27,7 +27,7 @@ from mcnoc import (
     port_table,
     topology_document,
 )
-from mcnoc.static_route import _offset_packet
+from mcnoc import static_route
 from mcnoc.topology import MAX_NODES
 
 small_specs = st.tuples(st.integers(2, 6), st.integers(1, 5)).filter(
@@ -134,6 +134,17 @@ class TestConstruction:
         nines = "9" * 2000
         with pytest.raises(GuardLimitError, match=rf"^MC\({nines},30\) has {nines}\*\*30 "):
             make_multiplicative(int(nines), 30)
+
+    def test_every_spec_has_the_node_count_guard(self):
+        # make_circulant reads this as MC(2**25,2): greedy routing walked it for seconds
+        message = r"^n=1125899906842624 is above the 2147483647 node guard$"
+        with pytest.raises(GuardLimitError, match=message):
+            make_circulant(2**50, [1, 2**25])
+        with pytest.raises(GuardLimitError, match=r"^n=<16610-bit integer> is above the "):
+            make_circulant(10**5000, [1])
+        with pytest.raises(GuardLimitError, match=r"^n=2147483648 is above the "):
+            CirculantSpec(s=None, k=1, n=MAX_NODES + 1, generatrices=(1,))
+        assert make_circulant(MAX_NODES, [1]).n == MAX_NODES
 
 
 class TestPorts:
@@ -264,13 +275,14 @@ class TestDocument:
 
 
 class TestStoredHash:
-    def test_equal_specs_share_hash_and_cache_entry(self):
+    def test_equal_specs_share_hash_and_cache_entry(self, encodes):
         a, b = make_multiplicative(4, 2), make_circulant(16, [1, 4])
         assert a is not b and a == b and hash(a) == hash(b)
-        _offset_packet.cache_clear()
         assert build_packet(a, 0, 5) == build_packet(b, 0, 5)
-        info = _offset_packet.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # one encode, and one record holds it for both specs
+        assert encodes == {5: 1}
+        assert static_route._routes(a) is static_route._routes(b)
+        assert static_route._routes.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
         "spec", [make_multiplicative(4, 2), make_circulant(12, [1, 3])], ids=lambda s: s.label
