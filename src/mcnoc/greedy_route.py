@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GuardLimitError, RoutingError
-from .metrics import _tree
+from .metrics import _route
 from .topology import CirculantSpec, _check_node
 
 
@@ -158,14 +158,13 @@ def stretch_report(spec: CirculantSpec, *, limit: int = 10_000) -> StretchReport
     if spec.n > limit:
         raise GuardLimitError(f"{spec.label} has {spec.n} nodes, above the {limit} guard")
     n = spec.n
-    # greedy hops and BFS distance depend only on the offset (dst - src) mod n
-    dist = _tree(spec).dist
+    # greedy hops and shortest distance depend only on the offset (dst - src) mod n
     total = 0.0
     worst_ratio = 0.0
     stretched = []  # (offset, greedy_hops, shortest_hops) where stretch > 1
     for offset in range(1, n):
         greedy_hops = hops_of(0, offset)
-        shortest = dist[offset]
+        shortest = len(_route(spec, offset)) - 1
         ratio = greedy_hops / shortest
         total += ratio
         worst_ratio = max(worst_ratio, ratio)

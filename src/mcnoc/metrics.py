@@ -1,4 +1,4 @@
-"""Distance metrics for circulants and the square-mesh reference formulas.
+"""Distance metrics and the route core for circulants, and the square-mesh reference formulas.
 
 One breadth-first search, in ascending port-code order with the first-found
 predecessor kept, serves the general circulants.  Circulants are vertex
@@ -13,7 +13,8 @@ base-s digits of x finds the least cost (``_digit_hops``); summed over every
 x it gives the diameter and the distance total (``_digit_distances``).  The
 route the search records is the least port-code sequence among shortest
 paths, so the DP returns that route too (see README).  Both keep the search's
-node guard.
+node guard.  This module alone chooses between DP and tree: ``_distances``
+for the metrics, ``_route`` for the node-0 route of an offset.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ def _bfs(spec: CirculantSpec, src: int) -> tuple[list[int], list[int]]:
 
 
 class _Tree(NamedTuple):
-    dist: list[int]
     pred: list[int]
     diameter: int
     total: int
@@ -80,7 +80,17 @@ class _Tree(NamedTuple):
 def _tree(spec: CirculantSpec) -> _Tree:
     """The BFS tree from node 0; by translation, every node's tree."""
     dist, pred = _bfs(spec, 0)
-    return _Tree(dist, pred, max(dist), sum(dist))
+    return _Tree(pred, max(dist), sum(dist))
+
+
+def _tree_path(pred: list[int], node: int) -> list[int]:
+    """Nodes from the tree's root (its own predecessor) to node."""
+    path = [node]
+    while pred[node] != node:
+        node = pred[node]
+        path.append(node)
+    path.reverse()
+    return path
 
 
 # Digit j of x, with carry t in {0, 1} from below, leaves v = r_j + t to
@@ -132,6 +142,21 @@ def _digit_hops(s: int, k: int, x: int) -> list[int]:
         carry = t
     hops.reverse()
     return hops
+
+
+def _route(spec: CirculantSpec, offset: int) -> list[int]:
+    """Nodes of the route 0 -> offset that a breadth-first search from node 0 records."""
+    if not spec.is_multiplicative:
+        return _tree_path(_tree(spec).pred, offset)
+    _check_size(spec)
+    n = spec.n
+    path = [0]
+    # ascending port codes: largest generatrix first, minus before plus
+    for g, c in zip(reversed(spec.generatrices), reversed(_digit_hops(spec.s, spec.k, offset))):
+        step = g if c > 0 else n - g
+        for _ in range(abs(c)):
+            path.append((path[-1] + step) % n)
+    return path
 
 
 class _Sums(NamedTuple):

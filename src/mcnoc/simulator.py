@@ -27,8 +27,8 @@ from itertools import permutations, starmap
 
 from .errors import GuardLimitError
 from .greedy_route import _hop_counter, greedy_path
-from .metrics import _bfs
-from .static_route import _hop_tally, _tree_path
+from .metrics import _bfs, _tree_path
+from .static_route import _hop_tally
 from .topology import CirculantSpec, _check_node
 
 MODES = ("source_routed", "greedy")

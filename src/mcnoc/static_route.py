@@ -14,8 +14,8 @@ route from node 0 to the offset (dst - src) mod n, shifted by the source, so
 every (src, dst) pair maps to one reproducible path.  That route is the one
 a breadth-first search from node 0 records (FIFO, ascending port codes,
 first-found predecessor), which is the least port-code sequence among the
-shortest paths.  On MC(s, k) the digit DP in ``metrics`` computes it per
-offset; a general circulant walks its one cached BFS tree.  The encoded
+shortest paths.  ``metrics._route`` computes it per offset: the digit DP on
+MC(s, k), the one cached BFS tree on a general circulant.  The encoded
 route depends only on the offset too, so each spec keeps one memo from offset
 to path field (``_routes``, at most OFFSET_CACHE_SIZE fields), which admits
 a field once after checking every code.  ``build_packet`` frames it per pair
@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CorruptPacketError, RoutingError
-from .metrics import _check_size, _digit_hops, _tree, diameter
+from .metrics import _check_size, _route, diameter
 from .topology import CirculantSpec, HopAction, _check_node, port_table
 
 
@@ -68,31 +68,6 @@ class SourceRoutedPacket:
             format((self.path_field >> (i * b)) & mask, f"0{b}b")
             for i in range(groups - 1, -1, -1)
         )
-
-
-def _tree_path(pred: list[int], node: int) -> list[int]:
-    """Nodes from the tree's root (its own predecessor) to node."""
-    path = [node]
-    while pred[node] != node:
-        node = pred[node]
-        path.append(node)
-    path.reverse()
-    return path
-
-
-def _route(spec: CirculantSpec, offset: int) -> list[int]:
-    """Nodes of the route 0 -> offset that a breadth-first search from node 0 records."""
-    if not spec.is_multiplicative:
-        return _tree_path(_tree(spec).pred, offset)
-    _check_size(spec)
-    n = spec.n
-    path = [0]
-    # ascending port codes: largest generatrix first, minus before plus
-    for g, c in zip(reversed(spec.generatrices), reversed(_digit_hops(spec.s, spec.k, offset))):
-        step = g if c > 0 else n - g
-        for _ in range(abs(c)):
-            path.append((path[-1] + step) % n)
-    return path
 
 
 def _offset(spec: CirculantSpec, src: int, dst: int) -> int:
@@ -135,6 +110,8 @@ def encode_path(
     ``hop_capacity`` defaults to the network diameter, the longest route a
     shortest-path sender ever needs.
     """
+    if dst is not None:
+        _check_node(spec, "destination", dst)
     if hop_capacity is None:
         hop_capacity = diameter(spec)
     if len(actions) > hop_capacity:

@@ -191,6 +191,7 @@ def port_count(spec: CirculantSpec) -> int:
 
 def apply_action(spec: CirculantSpec, v: int, action: HopAction) -> int:
     """Node reached from v by one hop along the given action, which must be a port."""
+    _check_node(spec, "node", v)
     table = port_table(spec)
     return (v + table.offsets[table.code(action) - 1]) % spec.n
 
@@ -210,7 +211,8 @@ def _check_node(spec: CirculantSpec, name: str, v: int):
 def neighbors(spec: CirculantSpec, v: int) -> list[tuple[int, HopAction]]:
     """(neighbour, action) pairs of node v in ascending port-code order."""
     _check_node(spec, "node", v)
-    return [(apply_action(spec, v, a), a) for a in port_table(spec).actions]
+    table = port_table(spec)
+    return [((v + off) % spec.n, a) for off, a in zip(table.offsets, table.actions)]
 
 
 def topology_document(spec: CirculantSpec) -> dict:

@@ -9,9 +9,12 @@ import pytest
 
 import mcnoc
 from mcnoc import (
+    HopAction,
     TrafficPattern,
+    apply_action,
     bfs_distances,
     build_packet,
+    encode_path,
     greedy_path,
     make_multiplicative,
     neighbors,
@@ -36,6 +39,8 @@ NODE_ARGUMENTS = [
     ("relative_dest", "current", lambda v: relative_dest(SPEC, v, 3)),
     ("relative_dest", "destination", lambda v: relative_dest(SPEC, 3, v)),
     ("neighbors", "node", lambda v: neighbors(SPEC, v)),
+    ("apply_action", "node", lambda v: apply_action(SPEC, v, HopAction(0, 1))),
+    ("encode_path", "destination", lambda v: encode_path(SPEC, [], dst=v)),
     ("path_to_actions", "node", lambda v: path_to_actions(SPEC, [v])),
     ("bfs_distances", "source", lambda v: bfs_distances(SPEC, v)),
     ("single.pairs", "source", lambda v: list(TrafficPattern.single(v, 3).pairs(SPEC))),
@@ -195,3 +200,34 @@ def test_no_module_imports_a_name_it_never_uses(path):
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier a module defines, imports, reads or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize(
+    "name, owners",
+    [
+        ("_tree", {"metrics.py"}),
+        ("_digit_hops", {"metrics.py"}),
+        ("_digit_distances", {"metrics.py"}),
+        ("_bfs", {"metrics.py", "simulator.py"}),  # the simulator's uncached sweep
+        ("_tree_path", {"metrics.py", "simulator.py"}),
+    ],
+)
+def test_only_the_route_core_names_the_tree_and_the_digit_dp(name, owners):
+    # metrics chooses between the digit DP and the cached tree; every other
+    # module asks it for a route or a distance and never sees either
+    assert {path.name for path in SOURCES if name in _names(path)} == owners

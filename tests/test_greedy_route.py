@@ -8,6 +8,7 @@ from mcnoc import (
     GreedyDecision,
     GuardLimitError,
     RoutingError,
+    StretchReport,
     TrafficPattern,
     bfs_distances,
     greedy_path,
@@ -207,7 +208,40 @@ class TestWalk:
         assert str(walked.value) == message
 
 
+def searched_stretch_report(spec):
+    """The stretch report rebuilt pair by pair from greedy walks and node-0 search distances."""
+    n = spec.n
+    dist = bfs_distances(spec, 0).tolist()
+    total = worst = 0.0
+    for off in range(1, n):  # offset order, as the report sums its average
+        ratio = (len(greedy_path(spec, 0, off)) - 1) / dist[off]
+        total += ratio
+        worst = max(worst, ratio)
+    stretched = []
+    for src in range(n):
+        for dst in range(n):
+            hops, best = len(greedy_path(spec, src, dst)) - 1, dist[(dst - src) % n]
+            if hops > best:
+                stretched.append((src, dst, hops, best))
+    stretched.sort(key=lambda t: (-t[2] / t[3], t[0], t[1]))
+    return StretchReport(spec.label, n * (n - 1), worst, total / (n - 1), stretched)
+
+
 class TestStretch:
+    @pytest.mark.parametrize("walk", ["greedy", "lower"])
+    @pytest.mark.parametrize(
+        "sk", [(2, 4), (3, 3), (4, 3), (5, 3), (2, 7), (3, 5), (6, 3), (10, 1)]
+    )
+    def test_report_equals_the_searched_report(self, monkeypatch, sk, walk):
+        spec = make_multiplicative(*sk)
+        if walk == "lower":
+            # rung j at g_(j+1): a distance equal to a generatrix takes the one
+            # below, so walks on k >= 2 are longer than shortest
+            monkeypatch.setattr(greedy_route, "_ladder", lambda spec: spec.generatrices[1:])
+        report = stretch_report(spec)
+        assert report == searched_stretch_report(spec)
+        assert bool(report.worst_pairs) == (walk == "lower" and spec.k > 1)
+
     @pytest.mark.parametrize("sk", [(2, 4), (3, 3), (4, 3)])
     def test_greedy_is_shortest_on_reference_specs(self, sk):
         report = stretch_report(make_multiplicative(*sk))

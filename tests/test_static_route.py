@@ -23,18 +23,20 @@ from mcnoc import (
     consume_step,
     diameter,
     encode_path,
+    greedy_path,
     make_circulant,
     make_multiplicative,
     neighbor_offsets,
+    next_hop,
     path_to_actions,
     port_count,
     port_table,
     run,
     shortest_path,
+    stretch_report,
 )
 from mcnoc import metrics, static_route
-from mcnoc.metrics import BFS_NODE_LIMIT, _bfs, _digit_distances
-from mcnoc.static_route import _route, _tree_path
+from mcnoc.metrics import BFS_NODE_LIMIT, _bfs, _digit_distances, _route, _tree_path
 
 small_specs = st.tuples(st.integers(2, 5), st.integers(1, 4)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 700
@@ -250,11 +252,12 @@ class TestTieRule:
         paths = {(a, b): [(v + a) % n for v in _tree_path(pred, (b - a) % n)]
                  for a in (0, 1, n - 1) for b in range(n)}
 
-        def no_tree(spec):
-            raise AssertionError("read the BFS tree")
+        def no_search(spec, src):
+            raise AssertionError("ran the BFS")
 
-        monkeypatch.setattr(metrics, "_tree", no_tree)
-        monkeypatch.setattr(static_route, "_tree", no_tree)
+        # every cached tree is gone, so a tree read would have to search
+        metrics._tree.cache_clear()
+        monkeypatch.setattr(metrics, "_bfs", no_search)
         static_route._routes.cache_clear()
         _digit_distances.cache_clear()
         assert diameter(spec) == max(dist)
@@ -268,6 +271,14 @@ class TestTieRule:
         report = run(spec, "source_routed", TrafficPattern.all_pairs())
         assert report.max_hops == max(dist)
         assert report.avg_hops == sum(dist) / (n - 1)
+        assert run(spec, "greedy", TrafficPattern.all_pairs()) == dataclasses.replace(
+            report, mode="greedy"
+        )
+        for (a, b), path in paths.items():
+            if a != b:
+                assert len(greedy_path(spec, a, b)) == len(path)
+                assert next_hop(spec, a, b).next_node == greedy_path(spec, a, b)[1]
+        assert stretch_report(spec).max_stretch == 1.0
 
     def test_guard_precedes_the_node_checks(self):
         big = make_multiplicative(2, 21)
