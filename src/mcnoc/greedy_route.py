@@ -25,9 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import GuardLimitError, RoutingError
+from .errors import RoutingError
 from .metrics import _route
-from .topology import CirculantSpec, _check_node
+from .topology import CirculantSpec, _check_node, _guard
+
+STRETCH_NODE_LIMIT = 10_000
 
 
 class GreedyDecision(NamedTuple):
@@ -152,11 +154,10 @@ class StretchReport:
     worst_pairs: list  # (src, dst, greedy_hops, shortest_hops), stretch > 1 only
 
 
-def stretch_report(spec: CirculantSpec, *, limit: int = 10_000) -> StretchReport:
-    """Exhaustive stretch survey; refuses instances with more than ``limit`` nodes."""
+def stretch_report(spec: CirculantSpec) -> StretchReport:
+    """Exhaustive stretch survey; refuses instances above STRETCH_NODE_LIMIT nodes."""
     hops_of = _hop_counter(spec)
-    if spec.n > limit:
-        raise GuardLimitError(f"{spec.label} has {spec.n} nodes, above the {limit} guard")
+    _guard(spec.label, spec.n, STRETCH_NODE_LIMIT)
     n = spec.n
     # greedy hops and shortest distance depend only on the offset (dst - src) mod n
     total = 0.0

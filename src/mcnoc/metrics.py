@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import GuardLimitError
-from .topology import CirculantSpec, _check_node, neighbor_offsets
+from .topology import CirculantSpec, _at_least, _check_node, _guard, neighbor_offsets
 
 # Largest node count the search accepts: a 2**20-node tree already costs
 # seconds and tens of megabytes in pure Python.
@@ -35,16 +34,12 @@ BFS_NODE_LIMIT = 2**20
 
 def ceil_log2(x: int) -> int:
     """Smallest integer b with 2**b >= x."""
-    if x < 1:
-        raise ValueError(f"ceil_log2 needs x >= 1, got {x}")
+    _at_least("x", x, 1)
     return (x - 1).bit_length()
 
 
 def _check_size(spec: CirculantSpec):
-    if spec.n > BFS_NODE_LIMIT:
-        raise GuardLimitError(
-            f"{spec.label} has {spec.n} nodes, above the {BFS_NODE_LIMIT} BFS guard"
-        )
+    _guard(spec.label, spec.n, BFS_NODE_LIMIT, "BFS guard")
 
 
 def _bfs(spec: CirculantSpec, src: int) -> tuple[list[int], list[int]]:
@@ -218,8 +213,7 @@ def average_distance(spec: CirculantSpec, *, all_pairs: bool = False) -> float:
 
 def analytic_diameter_mc2(k: int) -> int:
     """Closed-form diameter of MC(2, k)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _at_least("k", k, 1)
     return (k + 1) // 2
 
 
@@ -229,22 +223,19 @@ def analytic_avg_mc2(k: int) -> float:
     This is an estimate, not an identity; it approaches the brute-force
     value as k grows but does not match it exactly.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _at_least("k", k, 2)
     return k / 3.0
 
 
 def mesh_diameter(n: int) -> float:
     """Diameter 2*(sqrt(n) - 1) of the sqrt(n) x sqrt(n) mesh-of-rings."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     return 2.0 * (math.sqrt(n) - 1.0)
 
 
 def mesh_avg(n: int) -> float:
     """Average distance 2*(n - 1) / (3*sqrt(n)) of the square mesh."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     return 2.0 * (n - 1) / (3.0 * math.sqrt(n))
 
 

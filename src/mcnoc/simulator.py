@@ -25,11 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, starmap
 
-from .errors import GuardLimitError
 from .greedy_route import _hop_counter, greedy_path
 from .metrics import _bfs, _tree_path
 from .static_route import _hop_tally
-from .topology import CirculantSpec, _check_node
+from .topology import CirculantSpec, _at_least, _check_int, _check_node, _guard
 
 MODES = ("source_routed", "greedy")
 
@@ -57,8 +56,9 @@ class TrafficPattern:
 
     @classmethod
     def random_pairs(cls, count: int, seed: int | None = None) -> "TrafficPattern":
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        _at_least("count", count, 0)
+        if seed is not None:
+            _check_int("seed", seed)
         return cls(kind="random_pairs", count=count, seed=seed)
 
     @classmethod
@@ -120,10 +120,9 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if traffic.kind == "all_pairs" and spec.n > ALL_PAIRS_NODE_LIMIT:
-        raise GuardLimitError(
-            f"{spec.label} has {spec.n} nodes, above the {ALL_PAIRS_NODE_LIMIT} all-pairs guard"
-        )
+    _check_int("seed", seed)
+    if traffic.kind == "all_pairs":
+        _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
     if mode == "source_routed":
         counts = _hop_tally(spec, traffic.pairs(spec, default_seed=seed))
         histogram = {hops: count for hops, count in enumerate(counts) if count}
@@ -175,10 +174,7 @@ def bench_route_computation(spec: CirculantSpec, algo: str, repeat: int = 3) -> 
     cached tree; ``greedy`` walks the greedy rule per pair.  Refuses instances
     above BENCH_NODE_LIMIT nodes.
     """
-    if spec.n > BENCH_NODE_LIMIT:
-        raise GuardLimitError(
-            f"{spec.label} has {spec.n} nodes, above the {BENCH_NODE_LIMIT} guard"
-        )
+    _guard(spec.label, spec.n, BENCH_NODE_LIMIT)
     if algo == "bfs":
 
         def route(spec: CirculantSpec, src: int, dst: int) -> list[int]:
@@ -188,8 +184,7 @@ def bench_route_computation(spec: CirculantSpec, algo: str, repeat: int = 3) -> 
         route = greedy_path
     else:
         raise ValueError(f"algo must be 'bfs' or 'greedy', got {algo!r}")
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
+    _at_least("repeat", repeat, 1)
     import statistics  # on first use, so importing the CLI never loads fractions or decimal
 
     times = []

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import CorruptPacketError, RoutingError
 from .metrics import _check_size, _route, diameter
-from .topology import CirculantSpec, HopAction, _check_node, port_table
+from .topology import CirculantSpec, HopAction, _check_node, _int_text, port_table
 
 
 def bits_per_hop(spec: CirculantSpec) -> int:
@@ -150,6 +150,8 @@ def consume_step(
             f"packet has {packet.bits_per_hop}-bit hop slots, {spec.label} uses {b}"
         )
     field = packet.path_field
+    if field < 0:  # shifting a negative field right never reaches 0
+        raise CorruptPacketError(f"path field {_int_text(field)} is negative")
     if field == 0:
         return None, packet
     return _by_code(port_table(spec).actions, field & ((1 << b) - 1)), SourceRoutedPacket(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import GuardLimitError
@@ -51,10 +51,9 @@ class CirculantSpec:
     generatrices: tuple[int, ...]
 
     def __post_init__(self):
+        _at_least("n", self.n, 3)
         if self.n > MAX_NODES:
             raise GuardLimitError(f"n={_int_text(self.n)} is above the {MAX_NODES} node guard")
-        if self.n < 3:
-            raise ValueError(f"need at least 3 nodes, got n={self.n}")
         gens = tuple(self.generatrices)
         object.__setattr__(self, "generatrices", gens)
         if not gens:
@@ -63,9 +62,9 @@ class CirculantSpec:
             raise ValueError(f"k={self.k} does not match {len(gens)} generatrices")
         prev = 0
         for g in gens:
-            if not isinstance(g, int):
-                raise ValueError(f"generatrix {g!r} is not an integer")
+            _check_int("generatrix", g)
             if g < 1 or g > self.n // 2:
+                g = _int_text(g)
                 raise ValueError(f"generatrix {g} outside 1..{self.n // 2} for n={self.n}")
             if g <= prev:
                 raise ValueError("generatrices must be strictly increasing")
@@ -73,10 +72,9 @@ class CirculantSpec:
         if math.gcd(self.n, *gens) != 1:
             raise ValueError(f"C({self.n}; {list(gens)}) is disconnected")
         if self.s is not None:
-            if self.s < 2:
-                raise ValueError(f"multiplicative base must be >= 2, got {self.s}")
+            _at_least("multiplicative base", self.s, 2)
             if self.n != self.s**self.k:
-                raise ValueError(f"n={self.n} is not {self.s}**{self.k}")
+                raise ValueError(f"n={self.n} is not {_int_text(self.s)}**{self.k}")
             if gens != tuple(self.s**j for j in range(self.k)):
                 raise ValueError("generatrices do not form the power ladder of s")
         # Every route cache is keyed on the spec, so hash once.  Equal specs
@@ -91,7 +89,7 @@ class CirculantSpec:
     def is_multiplicative(self) -> bool:
         return self.s is not None
 
-    @property
+    @cached_property  # read by every node-count guard, so built once
     def label(self) -> str:
         if self.s is not None:
             return f"MC({self.s},{self.k})"
@@ -106,19 +104,32 @@ def _int_text(v: int) -> str:
         return f"{'-' if v < 0 else ''}<{v.bit_length()}-bit integer>"
 
 
+def _check_int(name: str, v) -> None:
+    if type(v) is not int:  # bool and float compare like ints but are not integers here
+        raise ValueError(f"{name} {v!r} is not an integer")
+
+
+def _at_least(name: str, v: int, lo: int) -> None:
+    _check_int(name, v)
+    if v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {_int_text(v)}")
+
+
+def _guard(label: str, n: int, limit: int, guard: str = "guard") -> None:
+    if n > limit:
+        raise GuardLimitError(f"{label} has {n} nodes, above the {limit} {guard}")
+
+
 def make_multiplicative(s: int, k: int) -> CirculantSpec:
     """Build MC(s, k): n = s**k nodes with generatrices s**0 .. s**(k-1)."""
-    if s < 2:
-        raise ValueError(f"base s must be >= 2, got {_int_text(s)}")
-    if k < 1:
-        raise ValueError(f"dimension k must be >= 1, got {_int_text(k)}")
+    _at_least("base s", s, 2)
+    _at_least("dimension k", k, 1)
     if k >= MAX_NODES.bit_length() or s > MAX_NODES:
         # s**k >= 2**k > MAX_NODES or s**k >= s > MAX_NODES: refuse before forming s**k
         s, k = _int_text(s), _int_text(k)
         raise GuardLimitError(f"MC({s},{k}) has {s}**{k} nodes, above the {MAX_NODES} guard")
     n = s**k
-    if n > MAX_NODES:
-        raise GuardLimitError(f"MC({s},{k}) has {n} nodes, above the {MAX_NODES} guard")
+    _guard(f"MC({s},{k})", n, MAX_NODES)
     return CirculantSpec(s=s, k=k, n=n, generatrices=tuple(s**j for j in range(k)))
 
 
@@ -139,9 +150,7 @@ def _infer_base(n: int, gens: tuple[int, ...]) -> int | None:
     if len(gens) == 1:
         return n  # the ring C(n; 1) is MC(n, 1)
     s = gens[1]
-    if s < 2 or n != s ** len(gens):
-        return None
-    if gens != tuple(s**j for j in range(len(gens))):
+    if type(s) is not int or n != s ** len(gens) or gens != tuple(s**j for j in range(len(gens))):
         return None
     return s
 
@@ -202,10 +211,10 @@ def neighbor_offsets(spec: CirculantSpec) -> tuple[int, ...]:
 
 
 def _check_node(spec: CirculantSpec, name: str, v: int):
-    if type(v) is not int:  # bool and float compare like ints but are not node ids
+    if type(v) is not int:  # _check_int's rule inline: greedy_path checks two nodes per call
         raise ValueError(f"{name} {v!r} is not an integer")
     if not 0 <= v < spec.n:
-        raise ValueError(f"{name} {v} outside 0..{spec.n - 1}")
+        raise ValueError(f"{name} {_int_text(v)} outside 0..{spec.n - 1}")
 
 
 def neighbors(spec: CirculantSpec, v: int) -> list[tuple[int, HopAction]]:

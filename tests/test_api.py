@@ -1,26 +1,44 @@
 import ast
 import os
 import re
+import signal
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcnoc
 from mcnoc import (
+    CorruptPacketError,
+    GuardLimitError,
     HopAction,
+    RoutingError,
+    SourceRoutedPacket,
     TrafficPattern,
+    analytic_avg_mc2,
+    analytic_diameter_mc2,
     apply_action,
+    bench_route_computation,
     bfs_distances,
+    bits_per_hop,
     build_packet,
+    ceil_log2,
+    consume_step,
     encode_path,
     greedy_path,
+    make_circulant,
     make_multiplicative,
+    mesh_avg,
+    mesh_diameter,
     neighbors,
     next_hop,
     path_to_actions,
     relative_dest,
+    run,
     shortest_path,
 )
 from mcnoc import simulator
@@ -231,3 +249,120 @@ def test_only_the_route_core_names_the_tree_and_the_digit_dp(name, owners):
     # metrics chooses between the digit DP and the cached tree; every other
     # module asks it for a route or a distance and never sees either
     assert {path.name for path in SOURCES if name in _names(path)} == owners
+
+
+def test_only_topology_words_the_argument_checks():
+    # the guard and lower-bound messages are written once, in topology; every
+    # other module raises them through its checks and never names the error
+    assert {path.stem for path in SOURCES if "GuardLimitError" in _names(path)} == {
+        "errors",  # defines it
+        "topology",  # raises it
+        "cli",  # catches it
+    }
+    for text in ("must be >=", "nodes, above the"):
+        assert {path.stem for path in SOURCES if text in path.read_text()} == {"topology"}
+
+
+# 10**5000 has 5001 digits, more than str() may print: a message gives its width
+WIDE, WIDE_TEXT = 10**5000, "<16610-bit integer>"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TrafficPattern.random_pairs(2.5), "count 2.5 is not an integer"),
+        (lambda: TrafficPattern.random_pairs(True), "count True is not an integer"),
+        (lambda: TrafficPattern.random_pairs(2, seed=1.5), "seed 1.5 is not an integer"),
+        (lambda: TrafficPattern.random_pairs(2, seed=False), "seed False is not an integer"),
+        (lambda: run(SPEC, "greedy", TrafficPattern.all_pairs(), seed=1.5),
+         "seed 1.5 is not an integer"),
+        (lambda: make_circulant(8, [True, 3]), "generatrix True is not an integer"),
+        (lambda: make_circulant(8, [1, "2"]), "generatrix '2' is not an integer"),
+        (lambda: make_circulant(8.0, [1, 3]), "n 8.0 is not an integer"),
+        (lambda: make_multiplicative(True, 3), "base s True is not an integer"),
+        (lambda: make_multiplicative(2, 3.0), "dimension k 3.0 is not an integer"),
+        (lambda: analytic_diameter_mc2(True), "k True is not an integer"),
+        (lambda: analytic_avg_mc2(3.0), "k 3.0 is not an integer"),
+        (lambda: mesh_diameter(16.0), "n 16.0 is not an integer"),
+        (lambda: mesh_avg(True), "n True is not an integer"),
+        (lambda: ceil_log2(2.5), "x 2.5 is not an integer"),
+        (lambda: bench_route_computation(SPEC, "greedy", repeat=True),
+         "repeat True is not an integer"),
+        (lambda: make_multiplicative(2, 1), "n must be >= 3, got 2"),
+        (lambda: make_circulant(-WIDE, [1]), f"n must be >= 3, got -{WIDE_TEXT}"),
+        (lambda: make_circulant(10, [1, WIDE]), f"generatrix {WIDE_TEXT} outside 1..5 for n=10"),
+        (lambda: shortest_path(SPEC, WIDE, 3), f"source {WIDE_TEXT} outside 0..15"),
+    ],
+)
+def test_argument_check_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# Library contract: whatever ints a caller passes, a public
+# call returns or raises one of these, within two seconds.
+REFUSALS = (ValueError, GuardLimitError, RoutingError, CorruptPacketError)
+INTS = st.integers() | st.booleans() | st.sampled_from([WIDE, -WIDE, 2**31, -(2**31)])
+MC23, MC24 = make_multiplicative(2, 3), make_multiplicative(2, 4)
+
+
+def _returns_or_refuses(call):
+    def overrun(signum, frame):
+        raise TimeoutError("call ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(2)
+    try:
+        return call()
+    except REFUSALS:
+        return None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestLibraryContract:
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, INTS)
+    def test_make_multiplicative(self, s, k):
+        _returns_or_refuses(lambda: make_multiplicative(s, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, st.lists(INTS, max_size=3))
+    def test_make_circulant(self, n, gens):
+        _returns_or_refuses(lambda: make_circulant(n, gens))
+
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, st.none() | INTS)
+    def test_random_pairs(self, count, seed):
+        _returns_or_refuses(
+            lambda: list(islice(TrafficPattern.random_pairs(count, seed).pairs(MC23), 3))
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, INTS)
+    def test_single(self, src, dst):
+        _returns_or_refuses(lambda: list(islice(TrafficPattern.single(src, dst).pairs(MC23), 3)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(INTS)
+    def test_analytic_diameter(self, k):
+        _returns_or_refuses(lambda: analytic_diameter_mc2(k))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(max_value=1) | st.booleans() | st.just(-WIDE))
+    def test_bench_repeat(self, repeat):
+        _returns_or_refuses(lambda: bench_route_computation(MC23, "greedy", repeat))
+
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, st.just(bits_per_hop(MC24)) | INTS)
+    def test_consume_step_walk_ends(self, field, width):
+        def walk():
+            packet = SourceRoutedPacket(None, field, width, 0, 0)
+            for _ in range(field.bit_length() // bits_per_hop(MC24) + 2):
+                action, packet = consume_step(MC24, packet)
+                if action is None:
+                    return
+            pytest.fail(f"walk on field {field} did not end")
+
+        _returns_or_refuses(walk)

@@ -270,6 +270,6 @@ class TestStretch:
 
     def test_size_guard(self):
         with pytest.raises(GuardLimitError):
-            stretch_report(make_multiplicative(2, 4), limit=10)
+            stretch_report(make_multiplicative(2, 14))  # 16384 nodes, refused before any walk
         with pytest.raises(GuardLimitError):
             stretch_report(make_multiplicative(10, 5))

@@ -371,6 +371,15 @@ class TestConsume:
         with pytest.raises(CorruptPacketError, match=r"^hop code 0 outside 1\.\.6$"):
             consume_step(spec, packet)
 
+    @pytest.mark.parametrize("sk", [(2, 2), (2, 4), (2, 8)])
+    def test_negative_field_is_corrupt(self, sk):
+        # the all-ones code names a port on these specs, and -1 >> b stays -1,
+        # so a decoding walk on a negative field would never end
+        spec = make_multiplicative(*sk)
+        packet = SourceRoutedPacket(1, -5, bits_per_hop(spec), 1, 1)
+        with pytest.raises(CorruptPacketError, match=r"^path field -5 is negative$"):
+            consume_step(spec, packet)
+
     def test_foreign_framing_is_corrupt(self):
         # a packet framed for 3-bit slots must not decode on a 4-bit-slot router
         packet = build_packet(make_multiplicative(4, 3), 5, 17)
