@@ -3,8 +3,8 @@
 Six subcommands: ``gen`` (topology document), ``metrics`` (distance metrics
 with an optional mesh comparison), ``route`` (one path, optionally with the
 packet encoding), ``simulate`` (forwarding run), ``memory`` (router bit
-budget), and ``bench`` (route-computation timing sweep).  Each command
-imports the modules it calls, so a one-shot process compiles only those.
+budget), and ``bench`` (route-computation timing sweep).  ``main`` builds
+the spec; each command imports what it calls, so a process compiles no more.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed values,
 out-of-range arguments, an ``--out`` file that cannot be written), 2 when a
@@ -43,9 +43,8 @@ def _parse_traffic(text: str, seed: int):
     raise ValueError(f"traffic must be all, random:N or pair:SRC:DST, got {text!r}")
 
 
-def cmd_gen(args) -> int:
-    doc = topology_document(make_multiplicative(args.s, args.k))
-    text = json.dumps(doc, indent=2) + "\n"
+def cmd_gen(spec, args) -> int:
+    text = json.dumps(topology_document(spec), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -54,10 +53,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(spec, args) -> int:
     from .metrics import METRICS_CSV_HEADER, compare_row, metrics_csv_row
 
-    row = compare_row(make_multiplicative(args.s, args.k))
+    row = compare_row(spec)
     if args.format == "csv":
         print(METRICS_CSV_HEADER)
         print(metrics_csv_row(row))
@@ -78,56 +77,48 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_route(args) -> int:
-    spec = make_multiplicative(args.s, args.k)
+def cmd_route(spec, args) -> int:
     if args.algo == "bfs":
         from .static_route import build_packet, shortest_path
 
-        path = shortest_path(spec, args.src, args.dst)
-    else:
-        from .greedy_route import greedy_path
-        from .metrics import ceil_log2
-
-        path = greedy_path(spec, args.src, args.dst)
-    print(" ".join(str(v) for v in path))
-    if args.show_packet:
-        if args.algo == "bfs":
+        print(*shortest_path(spec, args.src, args.dst))
+        if args.show_packet:
             packet = build_packet(spec, args.src, args.dst)
             print(
                 f"packet bits={packet.bits()} bits_per_hop={packet.bits_per_hop} "
                 f"hops={packet.hops_encoded}"
             )
-        else:
+    else:
+        from .greedy_route import greedy_path
+        from .metrics import ceil_log2
+
+        print(*greedy_path(spec, args.src, args.dst))
+        if args.show_packet:
             p = ceil_log2(spec.n)
             print(f"packet dst_bits={args.dst:0{p}b} address_bits={p}")
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(spec, args) -> int:
     from .simulator import run, sim_report_document
 
-    spec = make_multiplicative(args.s, args.k)
     mode = "source_routed" if args.algo == "bfs" else "greedy"
-    traffic = _parse_traffic(args.traffic, args.seed)
-    report = run(spec, mode, traffic, seed=args.seed)
+    report = run(spec, mode, _parse_traffic(args.traffic, args.seed), seed=args.seed)
     print(json.dumps(sim_report_document(report), indent=2))
     return 0
 
 
-def cmd_memory(args) -> int:
+def cmd_memory(spec, args) -> int:
     from .metrics import memory_bits
 
-    est = memory_bits(make_multiplicative(args.s, args.k))
-    print(f"per_node_bits: {est.per_node_bits}")
-    print(f"total_bits: {est.total_bits}")
-    print(f"address_bits: {est.address_bits}")
+    for name, bits in asdict(memory_bits(spec)).items():
+        print(f"{name}: {bits}")
     return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(spec, args) -> int:
     from .simulator import bench_route_computation
 
-    spec = make_multiplicative(args.s, args.k)
     bfs_s = bench_route_computation(spec, "bfs", repeat=args.repeat)
     greedy_s = bench_route_computation(spec, "greedy", repeat=args.repeat)
     print("n,bfs_seconds,greedy_seconds")
@@ -200,7 +191,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems and 0 on --help; fold to our codes
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        return args.func(make_multiplicative(args.s, args.k), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

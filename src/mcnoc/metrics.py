@@ -88,6 +88,11 @@ def _tree_path(pred: list[int], node: int) -> list[int]:
     return path
 
 
+def _search_route(spec: CirculantSpec, src: int, dst: int) -> list[int]:
+    """The route src -> dst that a fresh search from src records, with no cached tree."""
+    return _tree_path(_bfs(spec, src)[1], dst)
+
+
 # Digit j of x, with carry t in {0, 1} from below, leaves v = r_j + t to
 # cover: c_j = v with carry 0 out, or c_j = v - s with carry 1 out.  Low
 # digits need no other choice, since s hops along s**j cost more than one

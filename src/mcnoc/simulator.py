@@ -8,9 +8,8 @@ admitted path field as a router does (traffic yields in-range nodes only, so
 no pair is re-checked).  Greedy routing walks the greedy rule hop by hop and
 counts the hops without keeping the nodes.  Delivery is checked packet by
 packet; a packet that stops anywhere but its destination aborts the run with
-a RoutingError rather than being dropped silently.  One tally of per-packet
-hop counts gives every figure of the report: a list indexed by hop count when
-source routed, a Counter when greedy.
+a RoutingError rather than being dropped silently.  Either mode hands back
+one mapping from hop count to packets, which gives every figure of the report.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -22,11 +21,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations, starmap
 
 from .greedy_route import _hop_counter, greedy_path
-from .metrics import _bfs, _tree_path
+from .metrics import _search_route
 from .static_route import _hop_tally
 from .topology import CirculantSpec, _at_least, _check_int, _check_node, _guard
 
@@ -40,8 +39,8 @@ ALL_PAIRS_NODE_LIMIT = 256
 class TrafficPattern:
     """Which (src, dst) pairs a run injects.
 
-    Build one with the classmethods; ``pairs`` yields the ordered pairs in a
-    reproducible order.
+    It checks its arguments however it is built; ``pairs`` yields the
+    ordered pairs in a reproducible order.
     """
 
     kind: str
@@ -50,21 +49,27 @@ class TrafficPattern:
     src: int | None = None
     dst: int | None = None
 
+    def __post_init__(self):
+        if self.kind == "random_pairs":
+            _at_least("count", self.count, 0)
+        elif self.kind == "single":
+            if self.src == self.dst:
+                raise ValueError("single-pair traffic needs src != dst")
+        elif self.kind != "all_pairs":
+            raise ValueError(f"unknown traffic kind {self.kind!r}")
+        if self.seed is not None:
+            _check_int("seed", self.seed)
+
     @classmethod
     def all_pairs(cls) -> "TrafficPattern":
         return cls(kind="all_pairs")
 
     @classmethod
     def random_pairs(cls, count: int, seed: int | None = None) -> "TrafficPattern":
-        _at_least("count", count, 0)
-        if seed is not None:
-            _check_int("seed", seed)
         return cls(kind="random_pairs", count=count, seed=seed)
 
     @classmethod
     def single(cls, src: int, dst: int) -> "TrafficPattern":
-        if src == dst:
-            raise ValueError("single-pair traffic needs src != dst")
         return cls(kind="single", src=src, dst=dst)
 
     def pairs(self, spec: CirculantSpec, default_seed: int = 0):
@@ -81,12 +86,10 @@ class TrafficPattern:
                     x = (1664525 * x + 1013904223) & 0xFFFFFFFF
                     dst = x % n
                 yield src, dst
-        elif self.kind == "single":
+        else:  # single
             _check_node(spec, "source", self.src)
             _check_node(spec, "destination", self.dst)
             yield self.src, self.dst
-        else:
-            raise ValueError(f"unknown traffic kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -115,19 +118,20 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
 
     Source routed, the run makes one call to ``static_route._hop_tally``,
     which reads the spec's offset -> path-field memo, admits each missing
-    offset once per spec (every code checked), and walks every packet hop
-    by hop with a bare decode, checking its delivery.
+    offset once per spec (every code checked), walks every packet with a
+    bare decode, checking its delivery, and maps each hop count to its
+    packets, as the greedy Counter does.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_int("seed", seed)
     if traffic.kind == "all_pairs":
         _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
+    pairs = traffic.pairs(spec, default_seed=seed)
     if mode == "source_routed":
-        counts = _hop_tally(spec, traffic.pairs(spec, default_seed=seed))
-        histogram = {hops: count for hops, count in enumerate(counts) if count}
+        histogram = _hop_tally(spec, pairs)
     else:
-        histogram = Counter(starmap(_hop_counter(spec), traffic.pairs(spec, default_seed=seed)))
+        histogram = Counter(starmap(_hop_counter(spec), pairs))
     injected = sum(histogram.values())
     total_hops = sum(hops * count for hops, count in histogram.items())
     max_hops = max(histogram, default=0)
@@ -143,15 +147,10 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
 
 
 def sim_report_document(report: SimReport) -> dict:
-    """JSON-ready view of a report."""
+    """JSON-ready view of a report: its fields in order, mapping keys as strings."""
     return {
-        "mode": report.mode,
-        "injected": report.injected,
-        "delivered": report.delivered,
-        "hop_histogram": {str(h): c for h, c in report.hop_histogram.items()},
-        "avg_hops": report.avg_hops,
-        "max_hops": report.max_hops,
-        "total_cycles": report.total_cycles,
+        name: {str(key): v for key, v in value.items()} if isinstance(value, dict) else value
+        for name, value in asdict(report).items()
     }
 
 
@@ -176,10 +175,7 @@ def bench_route_computation(spec: CirculantSpec, algo: str, repeat: int = 3) -> 
     """
     _guard(spec.label, spec.n, BENCH_NODE_LIMIT)
     if algo == "bfs":
-
-        def route(spec: CirculantSpec, src: int, dst: int) -> list[int]:
-            return _tree_path(_bfs(spec, src)[1], dst)
-
+        route = _search_route
     elif algo == "greedy":
         route = greedy_path
     else:

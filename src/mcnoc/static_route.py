@@ -17,9 +17,9 @@ first-found predecessor), which is the least port-code sequence among the
 shortest paths.  ``metrics._route`` computes it per offset: the digit DP on
 MC(s, k), the one cached BFS tree on a general circulant.  The encoded
 route depends only on the offset too, so each spec keeps one memo from offset
-to path field (``_routes``, at most OFFSET_CACHE_SIZE fields), which admits
-a field once after checking every code.  ``build_packet`` frames it per pair
-and a source-routed ``simulator.run`` walks it for every pair at the offset.
+to path field (``_routes``, at most OFFSET_CACHE_SIZE fields and 64 KiB),
+which admits a field once after checking every code.  ``build_packet`` frames
+it per pair and a source-routed ``simulator.run`` walks it for every pair.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import CorruptPacketError, RoutingError
 from .metrics import _check_size, _route, diameter
-from .topology import CirculantSpec, HopAction, _check_node, _int_text, port_table
+from .topology import CirculantSpec, HopAction, _check_int, _check_node, _int_text, port_table
 
 
 def bits_per_hop(spec: CirculantSpec) -> int:
@@ -114,6 +114,7 @@ def encode_path(
         _check_node(spec, "destination", dst)
     if hop_capacity is None:
         hop_capacity = diameter(spec)
+    _check_int("hop capacity", hop_capacity)
     if len(actions) > hop_capacity:
         raise ValueError(f"{len(actions)} hops exceed capacity {hop_capacity}")
     b = bits_per_hop(spec)
@@ -150,6 +151,7 @@ def consume_step(
             f"packet has {packet.bits_per_hop}-bit hop slots, {spec.label} uses {b}"
         )
     field = packet.path_field
+    _check_int("path field", field)
     if field < 0:  # shifting a negative field right never reaches 0
         raise CorruptPacketError(f"path field {_int_text(field)} is negative")
     if field == 0:
@@ -176,14 +178,17 @@ class _Routes(NamedTuple):
     bits: int
     mask: int
     capacity: int  # the diameter: the longest route, and the tally's last slot
-    fields: dict  # offset -> admitted path field, at most OFFSET_CACHE_SIZE of them
+    fields: dict  # offset -> admitted path field, at most limit of them
+    limit: int  # fields the memo keeps: at most 64 * OFFSET_CACHE_SIZE bits, at least 1
 
 
 @lru_cache(maxsize=8)
 def _routes(spec: CirculantSpec) -> _Routes:
     offsets = port_table(spec).offsets
     b = bits_per_hop(spec)
-    return _Routes(spec.n, offsets, (None, *offsets), b, (1 << b) - 1, diameter(spec), {})
+    capacity = diameter(spec)
+    limit = max(OFFSET_CACHE_SIZE * 64 // max(capacity * b, 64), 1)  # widest field: capacity * b
+    return _Routes(spec.n, offsets, (None, *offsets), b, (1 << b) - 1, capacity, {}, limit)
 
 
 def _field(spec: CirculantSpec, off: int) -> int:
@@ -193,12 +198,12 @@ def _field(spec: CirculantSpec, off: int) -> int:
     count must fit the capacity (ValueError), it may hold no code past its
     ``hops_encoded`` slots and every code up to the terminator must name a
     port (CorruptPacketError).  A field that passes and leads from 0 to off
-    enters the memo while it holds fewer than OFFSET_CACHE_SIZE fields.  A
+    enters the memo while it holds fewer than the spec's limit of fields.  A
     refused field never does, and one that leads elsewhere is returned
     unstored, so its packet fails ``_hop_tally``'s delivery check: a bad
     encoding cannot reach a later call.
     """
-    n, offsets, _, b, mask, capacity, fields = _routes(spec)
+    n, offsets, _, b, mask, capacity, fields, limit = _routes(spec)
     field = fields.get(off)
     if field is not None:
         return field
@@ -214,7 +219,7 @@ def _field(spec: CirculantSpec, off: int) -> int:
     while rest:
         end = (end + _by_code(offsets, rest & mask)) % n
         rest >>= b
-    if end == off and len(fields) < OFFSET_CACHE_SIZE:
+    if end == off and len(fields) < limit:
         fields[off] = field
     return field
 
@@ -229,19 +234,20 @@ def build_packet(
     hops = -(-field.bit_length() // b)  # admission left no 0 slot under the top code
     if hop_capacity is None:
         hop_capacity = routes.capacity
+    _check_int("hop capacity", hop_capacity)
     if hops > hop_capacity:
         raise ValueError(f"{hops} hops exceed capacity {hop_capacity}")
     return SourceRoutedPacket(dst, field, b, hops, hop_capacity)
 
 
-def _hop_tally(spec: CirculantSpec, pairs) -> list[int]:
-    """Forward each (src, dst) pair on its offset's field; slot h counts the h-hop packets.
+def _hop_tally(spec: CirculantSpec, pairs) -> dict[int, int]:
+    """Forward each (src, dst) pair on its offset's field; map each hop count to its packets.
 
     A memo hit is one dict lookup and each hop a bare decode (mask, step,
     add mod n, shift): ``_field`` checked every code.  A packet that stops
     anywhere but its destination raises RoutingError.
     """
-    n, _, steps, b, mask, capacity, fields = _routes(spec)
+    n, _, steps, b, mask, capacity, fields, _ = _routes(spec)
     counts = [0] * (capacity + 1)
     for src, dst in pairs:
         off = (dst - src) % n
@@ -257,4 +263,4 @@ def _hop_tally(spec: CirculantSpec, pairs) -> list[int]:
         if node != dst:
             raise RoutingError(f"packet for {dst} stopped at {node}")
         counts[hops] += 1
-    return counts
+    return {hops: count for hops, count in enumerate(counts) if count}

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import re
 import signal
@@ -241,8 +242,8 @@ def _names(path: Path) -> set[str]:
         ("_tree", {"metrics.py"}),
         ("_digit_hops", {"metrics.py"}),
         ("_digit_distances", {"metrics.py"}),
-        ("_bfs", {"metrics.py", "simulator.py"}),  # the simulator's uncached sweep
-        ("_tree_path", {"metrics.py", "simulator.py"}),
+        ("_bfs", {"metrics.py"}),  # the uncached sweep asks metrics._search_route
+        ("_tree_path", {"metrics.py"}),
     ],
 )
 def test_only_the_route_core_names_the_tree_and_the_digit_dp(name, owners):
@@ -274,6 +275,22 @@ WIDE, WIDE_TEXT = 10**5000, "<16610-bit integer>"
         (lambda: TrafficPattern.random_pairs(True), "count True is not an integer"),
         (lambda: TrafficPattern.random_pairs(2, seed=1.5), "seed 1.5 is not an integer"),
         (lambda: TrafficPattern.random_pairs(2, seed=False), "seed False is not an integer"),
+        # a pattern built directly, not through its classmethods, checks the same rules
+        pytest.param(lambda: TrafficPattern("random_pairs", 2.5), "count 2.5 is not an integer",
+                     id="direct-count 2.5"),
+        (lambda: TrafficPattern("random_pairs"), "count None is not an integer"),
+        pytest.param(lambda: dataclasses.replace(TrafficPattern.random_pairs(3), count=True),
+                     "count True is not an integer", id="replace-count True"),
+        (lambda: TrafficPattern("single", src=2, dst=2), "single-pair traffic needs src != dst"),
+        (lambda: TrafficPattern("bogus"), "unknown traffic kind 'bogus'"),
+        (lambda: consume_step(SPEC, SourceRoutedPacket(None, 2.5, bits_per_hop(SPEC), 1, 4)),
+         "path field 2.5 is not an integer"),
+        (lambda: consume_step(SPEC, SourceRoutedPacket(None, True, bits_per_hop(SPEC), 1, 4)),
+         "path field True is not an integer"),
+        (lambda: encode_path(SPEC, [], hop_capacity="x"), "hop capacity 'x' is not an integer"),
+        (lambda: encode_path(SPEC, [], hop_capacity=2.5), "hop capacity 2.5 is not an integer"),
+        pytest.param(lambda: build_packet(SPEC, 0, 1, hop_capacity=2.5),
+                     "hop capacity 2.5 is not an integer", id="build_packet-hop capacity 2.5"),
         (lambda: run(SPEC, "greedy", TrafficPattern.all_pairs(), seed=1.5),
          "seed 1.5 is not an integer"),
         (lambda: make_circulant(8, [True, 3]), "generatrix True is not an integer"),
@@ -337,6 +354,13 @@ class TestLibraryContract:
     def test_random_pairs(self, count, seed):
         _returns_or_refuses(
             lambda: list(islice(TrafficPattern.random_pairs(count, seed).pairs(MC23), 3))
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, st.none() | INTS)
+    def test_random_pairs_built_directly(self, count, seed):
+        _returns_or_refuses(
+            lambda: list(islice(TrafficPattern("random_pairs", count, seed).pairs(MC23), 3))
         )
 
     @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,8 +27,8 @@ from mcnoc import (
     sim_report_csv,
     sim_report_document,
 )
-from mcnoc import simulator, static_route
-from mcnoc.simulator import SIM_CSV_HEADER
+from mcnoc import metrics, simulator, static_route
+from mcnoc.simulator import SIM_CSV_HEADER, SimReport
 from mcnoc.topology import MAX_NODES
 
 
@@ -340,6 +341,31 @@ class TestRun:
         run(spec, "source_routed", TrafficPattern.random_pairs(20000, seed=5))
         assert len(static_route._routes(spec).fields) == static_route.OFFSET_CACHE_SIZE
 
+    @pytest.mark.parametrize(
+        "sk, limit",
+        [
+            ((2, 4), 8192),  # 2 hops of 4 bits
+            ((3, 9), 8192),  # 9 hops of 5 bits
+            ((256, 1), 2048),  # 128 hops of 2 bits: 8192 * 64 // 256
+            ((801, 1), 655),  # 400 hops of 2 bits: 8192 * 64 // 800
+        ],
+    )
+    def test_the_memo_keeps_at_most_64_kib_of_fields(self, sk, limit):
+        routes = static_route._routes(make_multiplicative(*sk))
+        assert routes.limit == limit
+        assert limit * max(routes.capacity * routes.bits, 64) <= 64 * static_route.OFFSET_CACHE_SIZE
+
+    def test_a_run_past_the_bit_bound_keeps_the_limit_and_tallies_every_packet(self, cold_memo):
+        # n = 801 is odd, so the LCG's pairs meet offsets of every residue
+        spec = make_multiplicative(801, 1)
+        traffic = TrafficPattern.random_pairs(2000, seed=5)
+        pairs = list(traffic.pairs(spec))
+        assert len({(dst - src) % spec.n for src, dst in pairs}) == 736
+        report = run(spec, "source_routed", traffic)
+        assert len(static_route._routes(spec).fields) == 655
+        tally = Counter(len(shortest_path(spec, src, dst)) - 1 for src, dst in pairs)
+        assert_report_is_the_tally(report, tally)
+
     def test_greedy_needs_multiplicative(self):
         spec = make_circulant(12, [1, 3])
         with pytest.raises(ValueError):
@@ -410,6 +436,7 @@ class TestReportExports:
         spec = make_multiplicative(2, 4)
         report = run(spec, "greedy", TrafficPattern.random_pairs(10, seed=1))
         doc = json.loads(json.dumps(sim_report_document(report)))
+        assert list(doc) == [f.name for f in fields(SimReport)]
         assert doc["mode"] == "greedy"
         assert doc["injected"] == doc["delivered"] == 10
         assert sum(doc["hop_histogram"].values()) == 10
@@ -437,13 +464,13 @@ class TestBench:
     def test_bfs_sweep_searches_once_per_pair(self, monkeypatch):
         # the bench times one full search per ordered pair, never the cached tree
         roots = []
-        search = simulator._bfs
+        search = metrics._bfs
 
         def counting(spec, src):
             roots.append(src)
             return search(spec, src)
 
-        monkeypatch.setattr(simulator, "_bfs", counting)
+        monkeypatch.setattr(metrics, "_bfs", counting)
         spec = make_multiplicative(2, 4)
         bench_route_computation(spec, "bfs", repeat=2)
         n = spec.n
