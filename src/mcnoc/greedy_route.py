@@ -165,7 +165,7 @@ def stretch_report(spec: CirculantSpec) -> StretchReport:
     stretched = []  # (offset, greedy_hops, shortest_hops) where stretch > 1
     for offset in range(1, n):
         greedy_hops = hops_of(0, offset)
-        shortest = len(_route(spec, offset)) - 1
+        shortest = sum(hops for _, hops in _route(spec, offset))
         ratio = greedy_hops / shortest
         total += ratio
         worst_ratio = max(worst_ratio, ratio)

@@ -14,7 +14,9 @@ x it gives the diameter and the distance total (``_digit_distances``).  The
 route the search records is the least port-code sequence among shortest
 paths, so the DP returns that route too (see README).  Both keep the search's
 node guard.  This module alone chooses between DP and tree: ``_distances``
-for the metrics, ``_route`` for the node-0 route of an offset.
+for the metrics, ``_route`` for the node-0 route of an offset, as port-code
+runs ``[(code, hops), ...]`` in ascending code order: one per nonzero c_j on
+MC(s, k), the tree path grouped by code on a general circulant.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
-from .topology import CirculantSpec, _at_least, _check_node, _guard, neighbor_offsets
+from .topology import CirculantSpec, _at_least, _check_float, _check_node, _guard, neighbor_offsets
 
 # Largest node count the search accepts: a 2**20-node tree already costs
 # seconds and tens of megabytes in pure Python.
@@ -112,7 +115,7 @@ def _top(s: int, v: int) -> int:
 
 
 def _digit_hops(s: int, k: int, x: int) -> list[int]:
-    """Hop counts c_0..c_(k-1) of the route the node-0 search records to x on MC(s, k).
+    """Hop counts c_(k-1)..c_0 of the route the node-0 search records to x on MC(s, k).
 
     Among least-cost vectors it takes the most hops on the first port code:
     the most negative c_(k-1), else the largest, then the same for c_(k-2),
@@ -140,23 +143,20 @@ def _digit_hops(s: int, k: int, x: int) -> list[int]:
             c = r + t - s * carry
         hops.append(c)
         carry = t
-    hops.reverse()
     return hops
 
 
-def _route(spec: CirculantSpec, offset: int) -> list[int]:
-    """Nodes of the route 0 -> offset that a breadth-first search from node 0 records."""
+def _route(spec: CirculantSpec, offset: int) -> list[tuple[int, int]]:
+    """Runs (code, hops), ascending by code, of the route 0 -> offset the node-0 search records."""
+    codes = neighbor_offsets(spec).index
     if not spec.is_multiplicative:
-        return _tree_path(_tree(spec).pred, offset)
+        path = _tree_path(_tree(spec).pred, offset)
+        steps = [codes((v - u) % spec.n) + 1 for u, v in zip(path, path[1:])]
+        return [(code, len(list(run))) for code, run in groupby(steps)]
     _check_size(spec)
-    n = spec.n
-    path = [0]
     # ascending port codes: largest generatrix first, minus before plus
-    for g, c in zip(reversed(spec.generatrices), reversed(_digit_hops(spec.s, spec.k, offset))):
-        step = g if c > 0 else n - g
-        for _ in range(abs(c)):
-            path.append((path[-1] + step) % n)
-    return path
+    hops = zip(reversed(spec.generatrices), _digit_hops(spec.s, spec.k, offset))
+    return [(codes(g if c > 0 else spec.n - g) + 1, abs(c)) for g, c in hops if c]
 
 
 class _Sums(NamedTuple):
@@ -229,18 +229,21 @@ def analytic_avg_mc2(k: int) -> float:
     value as k grows but does not match it exactly.
     """
     _at_least("k", k, 2)
+    _check_float("k", k)
     return k / 3.0
 
 
 def mesh_diameter(n: int) -> float:
     """Diameter 2*(sqrt(n) - 1) of the sqrt(n) x sqrt(n) mesh-of-rings."""
     _at_least("n", n, 1)
+    _check_float("n", n)
     return 2.0 * (math.sqrt(n) - 1.0)
 
 
 def mesh_avg(n: int) -> float:
     """Average distance 2*(n - 1) / (3*sqrt(n)) of the square mesh."""
     _at_least("n", n, 1)
+    _check_float("n", n)
     return 2.0 * (n - 1) / (3.0 * math.sqrt(n))
 
 

@@ -39,8 +39,9 @@ ALL_PAIRS_NODE_LIMIT = 256
 class TrafficPattern:
     """Which (src, dst) pairs a run injects.
 
-    It checks its arguments however it is built; ``pairs`` yields the
-    ordered pairs in a reproducible order.
+    It checks its arguments however it is built and refuses a field its
+    kind does not read; ``pairs`` yields the ordered pairs in a
+    reproducible order.
     """
 
     kind: str
@@ -52,13 +53,20 @@ class TrafficPattern:
     def __post_init__(self):
         if self.kind == "random_pairs":
             _at_least("count", self.count, 0)
+            if self.seed is not None:
+                _check_int("seed", self.seed)
+            unread = ("src", "dst")
         elif self.kind == "single":
             if self.src == self.dst:
                 raise ValueError("single-pair traffic needs src != dst")
-        elif self.kind != "all_pairs":
+            unread = ("count", "seed")
+        elif self.kind == "all_pairs":
+            unread = ("count", "seed", "src", "dst")
+        else:
             raise ValueError(f"unknown traffic kind {self.kind!r}")
-        if self.seed is not None:
-            _check_int("seed", self.seed)
+        for name in unread:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} traffic takes no {name}")
 
     @classmethod
     def all_pairs(cls) -> "TrafficPattern":

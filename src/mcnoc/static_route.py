@@ -9,17 +9,18 @@ code 0 is the reserved terminator and never names a port.  The slot width
 and both lookups (code -> action, hop offset -> action) come from the spec's
 one cached port table (see ``topology``), so framing never needs a search.
 
-Routes are node lists (``[src, ..., dst]``), shortest by construction: the
-route from node 0 to the offset (dst - src) mod n, shifted by the source, so
-every (src, dst) pair maps to one reproducible path.  That route is the one
-a breadth-first search from node 0 records (FIFO, ascending port codes,
-first-found predecessor), which is the least port-code sequence among the
-shortest paths.  ``metrics._route`` computes it per offset: the digit DP on
-MC(s, k), the one cached BFS tree on a general circulant.  The encoded
-route depends only on the offset too, so each spec keeps one memo from offset
-to path field (``_routes``, at most OFFSET_CACHE_SIZE fields and 64 KiB),
-which admits a field once after checking every code.  ``build_packet`` frames
-it per pair and a source-routed ``simulator.run`` walks it for every pair.
+Every route is the node-0 route to the offset (dst - src) mod n, shifted by
+the source: the route a breadth-first search from node 0 records (FIFO,
+ascending port codes, first-found predecessor), the least port-code sequence
+among the shortest paths.  ``metrics._route`` hands it out per offset as runs
+``[(code, hops), ...]`` in ascending code order, from the digit DP on
+MC(s, k) or the one cached BFS tree.  ``shortest_path`` expands the runs into
+nodes; ``_field`` packs them into a path field, one shift-or per run.  Each
+spec keeps one memo from offset to path field (``_routes``, at most
+OFFSET_CACHE_SIZE fields and 64 KiB), which admits a field once after
+checking every code.  ``build_packet`` frames it per pair and a source-routed
+``simulator.run`` walks it for every pair.  ``path_to_actions`` and
+``encode_path`` encode a caller's own route.
 """
 
 from __future__ import annotations
@@ -81,7 +82,12 @@ def shortest_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
     """Deterministic shortest path: the node-0 route to dst - src, shifted by src."""
     _check_size(spec)  # the size guard comes before the node checks
     n = spec.n
-    return [(v + src) % n for v in _route(spec, _offset(spec, src, dst))]
+    offsets = port_table(spec).offsets
+    path = [src]
+    for code, hops in _route(spec, _offset(spec, src, dst)):
+        for _ in range(hops):
+            path.append((path[-1] + offsets[code - 1]) % n)
+    return path
 
 
 def path_to_actions(spec: CirculantSpec, path: list[int]) -> list[HopAction]:
@@ -161,11 +167,6 @@ def consume_step(
     )
 
 
-def _offset_packet(spec: CirculantSpec, offset: int) -> SourceRoutedPacket:
-    """Encoded route 0 -> offset; by translation, the route of every pair at that offset."""
-    return encode_path(spec, path_to_actions(spec, _route(spec, offset)))
-
-
 OFFSET_CACHE_SIZE = 8192
 
 
@@ -194,24 +195,26 @@ def _routes(spec: CirculantSpec) -> _Routes:
 def _field(spec: CirculantSpec, off: int) -> int:
     """The path field of offset off, from the spec's memo or checked in full first.
 
-    A field missing from the memo comes from ``_offset_packet``.  Its hop
-    count must fit the capacity (ValueError), it may hold no code past its
-    ``hops_encoded`` slots and every code up to the terminator must name a
-    port (CorruptPacketError).  A field that passes and leads from 0 to off
-    enters the memo while it holds fewer than the spec's limit of fields.  A
-    refused field never does, and one that leads elsewhere is returned
-    unstored, so its packet fails ``_hop_tally``'s delivery check: a bad
-    encoding cannot reach a later call.
+    A field missing from the memo is packed from the runs of
+    ``metrics._route``, one shift-or per run.  Its hop count must fit the
+    capacity (ValueError), it may hold no code past its hop slots and every
+    code up to the terminator must name a port (CorruptPacketError).  A
+    field that passes and leads from 0 to off enters the memo while it holds
+    fewer than the spec's limit of fields.  A refused field never does, and
+    one that leads elsewhere is returned unstored, so its packet fails
+    ``_hop_tally``'s delivery check: a bad encoding cannot reach a later
+    call.
     """
     n, offsets, _, b, mask, capacity, fields, limit = _routes(spec)
     field = fields.get(off)
     if field is not None:
         return field
-    packet = _offset_packet(spec, off)
-    encoded = packet.hops_encoded
+    field = encoded = 0
+    for code, hops in _route(spec, off):  # a run fills hops slots: code * (1 + 2**b + ...)
+        field |= code * ((1 << b * hops) - 1) // mask << b * encoded
+        encoded += hops
     if encoded > capacity:
         raise ValueError(f"{encoded} hops exceed capacity {capacity}")
-    field = packet.path_field
     if field >> (encoded * b):
         raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
     end = 0

@@ -115,6 +115,14 @@ def _at_least(name: str, v: int, lo: int) -> None:
         raise ValueError(f"{name} must be >= {lo}, got {_int_text(v)}")
 
 
+def _check_float(name: str, v: int) -> None:
+    """A float formula's int argument must have a float value."""
+    try:
+        float(v)
+    except OverflowError:
+        raise ValueError(f"{name} {_int_text(v)} is past the float range") from None
+
+
 def _guard(label: str, n: int, limit: int, guard: str = "guard") -> None:
     if n > limit:
         raise GuardLimitError(f"{label} has {n} nodes, above the {limit} {guard}")

@@ -19,14 +19,15 @@ def nx_circulant(spec: CirculantSpec) -> nx.Graph:
 
 @pytest.fixture
 def encodes(monkeypatch):
-    """Offsets the path-field encoder is asked for, counted, starting from no memo."""
+    """Offsets whose runs ``static_route`` asks the route core for, counted,
+    starting from no memo: one per path-field miss and one per ``shortest_path``."""
     static_route._routes.cache_clear()
     calls = Counter()
-    encode = static_route._offset_packet
+    route = static_route._route
 
     def counted(spec, offset):
         calls[offset] += 1
-        return encode(spec, offset)
+        return route(spec, offset)
 
-    monkeypatch.setattr(static_route, "_offset_packet", counted)
+    monkeypatch.setattr(static_route, "_route", counted)
     return calls

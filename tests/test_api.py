@@ -283,6 +283,12 @@ WIDE, WIDE_TEXT = 10**5000, "<16610-bit integer>"
                      "count True is not an integer", id="replace-count True"),
         (lambda: TrafficPattern("single", src=2, dst=2), "single-pair traffic needs src != dst"),
         (lambda: TrafficPattern("bogus"), "unknown traffic kind 'bogus'"),
+        # a field the kind does not read is refused, not ignored
+        (lambda: TrafficPattern("all_pairs", count=5, src=1, dst=1),
+         "all_pairs traffic takes no count"),
+        (lambda: TrafficPattern("single", seed=3, src=1, dst=2), "single traffic takes no seed"),
+        (lambda: dataclasses.replace(TrafficPattern.random_pairs(3), dst=1),
+         "random_pairs traffic takes no dst"),
         (lambda: consume_step(SPEC, SourceRoutedPacket(None, 2.5, bits_per_hop(SPEC), 1, 4)),
          "path field 2.5 is not an integer"),
         (lambda: consume_step(SPEC, SourceRoutedPacket(None, True, bits_per_hop(SPEC), 1, 4)),
@@ -302,6 +308,13 @@ WIDE, WIDE_TEXT = 10**5000, "<16610-bit integer>"
         (lambda: analytic_avg_mc2(3.0), "k 3.0 is not an integer"),
         (lambda: mesh_diameter(16.0), "n 16.0 is not an integer"),
         (lambda: mesh_avg(True), "n True is not an integer"),
+        # past the float range the formulas refuse instead of raising OverflowError
+        pytest.param(lambda: mesh_diameter(WIDE), f"n {WIDE_TEXT} is past the float range",
+                     id="mesh_diameter-wide n"),
+        pytest.param(lambda: mesh_avg(10**400), f"n {10**400} is past the float range",
+                     id="mesh_avg-n 10**400"),
+        pytest.param(lambda: analytic_avg_mc2(10**400), f"k {10**400} is past the float range",
+                     id="analytic_avg_mc2-k 10**400"),
         (lambda: ceil_log2(2.5), "x 2.5 is not an integer"),
         (lambda: bench_route_computation(SPEC, "greedy", repeat=True),
          "repeat True is not an integer"),
@@ -364,6 +377,17 @@ class TestLibraryContract:
         )
 
     @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["all_pairs", "random_pairs", "single"]), *[st.none() | INTS] * 4)
+    def test_traffic_built_directly(self, kind, count, seed, src, dst):
+        pattern = _returns_or_refuses(lambda: TrafficPattern(kind, count, seed, src, dst))
+        if pattern is not None:
+            # a pattern that builds carries no field its kind ignores
+            reads = {"all_pairs": (), "random_pairs": ("count", "seed"), "single": ("src", "dst")}
+            unread = {"count", "seed", "src", "dst"}.difference(reads[kind])
+            assert all(getattr(pattern, name) is None for name in unread)
+            _returns_or_refuses(lambda: list(islice(pattern.pairs(MC23), 3)))
+
+    @settings(max_examples=200, deadline=None)
     @given(INTS, INTS)
     def test_single(self, src, dst):
         _returns_or_refuses(lambda: list(islice(TrafficPattern.single(src, dst).pairs(MC23), 3)))
@@ -372,6 +396,12 @@ class TestLibraryContract:
     @given(INTS)
     def test_analytic_diameter(self, k):
         _returns_or_refuses(lambda: analytic_diameter_mc2(k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(INTS | st.sampled_from([2**1023, 2**1024, 10**400]))
+    def test_float_formulas(self, v):
+        for formula in (analytic_avg_mc2, mesh_diameter, mesh_avg):
+            _returns_or_refuses(lambda: formula(v))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(max_value=1) | st.booleans() | st.just(-WIDE))

@@ -49,6 +49,12 @@ def cold_memo():
     static_route._routes.cache_clear()
 
 
+def slot_runs(field, hops):
+    """One-hop runs (code, 1) of field's first hops 3-bit slots, MC(2,3)'s width; the
+    last run holds every higher bit, so it may be a code wider than its slot."""
+    return [((field >> 3 * i) & 7, 1) for i in range(hops - 1)] + [(field >> 3 * (hops - 1), 1)]
+
+
 @st.composite
 def circulant_specs(draw):
     """Connected circulants up to 24 nodes, diametral generatrices included."""
@@ -207,30 +213,22 @@ class TestRun:
     )
     def test_corrupt_field_aborts_the_run(self, cold_memo, monkeypatch, field, hops, code):
         spec = make_multiplicative(2, 3)
-
-        def corrupt(spec, offset):
-            return SourceRoutedPacket(None, field, 3, hops, 3)
-
-        packet = corrupt(spec, 1)
+        packet = SourceRoutedPacket(None, field, 3, hops, 3)
         with pytest.raises(CorruptPacketError) as stepped:
             while packet.path_field:
                 packet = consume_step(spec, packet)[1]
         assert str(stepped.value) == f"hop code {code} outside 1..5"
-        monkeypatch.setattr(static_route, "_offset_packet", corrupt)
+        # the route core hands out the same codes as one-hop runs: (0,1),(1,1) for 0b001_000
+        monkeypatch.setattr(static_route, "_route", lambda spec, offset: slot_runs(field, hops))
         with pytest.raises(CorruptPacketError) as walked:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(walked.value) == str(stepped.value)
 
     def test_field_past_its_hop_slots_aborts_the_run(self, cold_memo, monkeypatch):
-        # MC(2,3) codes +2, -2, +1 as 3, 2, 5: three hops that do reach 1, in a
-        # packet framed for one on a diameter-2 spec
+        # MC(2,3) codes +2, -2, +1 as 3, 2, 5: three hops that do reach 1, as
+        # one run whose code is wider than its 3-bit slot
         spec = make_multiplicative(2, 3)
-        field = 0b101_010_011
-
-        def overlong(spec, offset):
-            return SourceRoutedPacket(None, field, 3, 1, 2)
-
-        monkeypatch.setattr(static_route, "_offset_packet", overlong)
+        monkeypatch.setattr(static_route, "_route", lambda spec, offset: [(0b101_010_011, 1)])
         with pytest.raises(CorruptPacketError) as refused:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(refused.value) == "path field has codes past its 1 hop slots"
@@ -275,16 +273,16 @@ class TestRun:
     @pytest.mark.parametrize(
         "packet, error, message",
         [
-            # code 7 names no port of MC(2,3)
+            # runs (1,1),(7,1): code 7 names no port of MC(2,3)
             (SourceRoutedPacket(None, 0b111_001, 3, 2, 3), CorruptPacketError,
              "hop code 7 outside 1..5"),
-            # codes +2, -2, +1 reach 1, in a packet framed for one hop
+            # codes +2, -2, +1 reach 1, as the one run (0b101_010_011, 1)
             (SourceRoutedPacket(None, 0b101_010_011, 3, 1, 2), CorruptPacketError,
              "path field has codes past its 1 hop slots"),
-            # the same three hops, framed as three on a diameter-2 spec
+            # the same three hops as the runs (3,1),(2,1),(5,1) on a diameter-2 spec
             (SourceRoutedPacket(None, 0b101_010_011, 3, 3, 3), ValueError,
              "3 hops exceed capacity 2"),
-            # a well-formed field that leads to 2, not 1
+            # the run (3,1): a well-formed field that leads to 2, not 1
             (SourceRoutedPacket(None, 0b011, 3, 1, 2), RoutingError,
              "packet for 1 stopped at 2"),
         ],
@@ -294,8 +292,9 @@ class TestRun:
     ):
         spec = make_multiplicative(2, 3)
         traffic = TrafficPattern.single(0, 1)
+        runs = slot_runs(packet.path_field, packet.hops_encoded)
         with monkeypatch.context() as patch:
-            patch.setattr(static_route, "_offset_packet", lambda spec, offset: packet)
+            patch.setattr(static_route, "_route", lambda spec, offset: runs)
             with pytest.raises(error) as refused:
                 run(spec, "source_routed", traffic)
             assert str(refused.value) == message

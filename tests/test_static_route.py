@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from collections import Counter, deque
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -36,7 +37,7 @@ from mcnoc import (
     stretch_report,
 )
 from mcnoc import metrics, static_route
-from mcnoc.metrics import BFS_NODE_LIMIT, _bfs, _digit_distances, _route, _tree_path
+from mcnoc.metrics import BFS_NODE_LIMIT, _bfs, _digit_distances, _tree_path
 
 small_specs = st.tuples(st.integers(2, 5), st.integers(1, 4)).filter(
     lambda sk: 3 <= sk[0] ** sk[1] <= 700
@@ -234,14 +235,17 @@ class TestTieRule:
             assert shortest_path(spec, src, dst) == least_code_path(spec, steps, lengths, src)
 
     def test_digit_dp_is_the_search_up_to_4096_nodes(self):
-        # every offset's DP route is the node-0 tree path, and the DP's
-        # diameter and distance total are the tree's
+        # every offset's DP route is the node-0 tree path, as nodes and as the
+        # field the public encoder packs, and the DP's diameter and distance
+        # total are the tree's
         specs = multiplicative_specs(4096, ring_limit=100)
         assert len(specs) == 98 + 99
         for spec in specs:
             dist, pred = _bfs(spec, 0)
-            routes = [_route(spec, x) for x in range(spec.n)]
-            assert routes == [_tree_path(pred, x) for x in range(spec.n)], spec.label
+            paths = [_tree_path(pred, x) for x in range(spec.n)]
+            assert [shortest_path(spec, 0, x) for x in range(spec.n)] == paths, spec.label
+            packets = [encode_path(spec, path_to_actions(spec, path), path[-1]) for path in paths]
+            assert [build_packet(spec, 0, x) for x in range(spec.n)] == packets, spec.label
             assert _digit_distances(spec) == (max(dist), sum(dist)), spec.label
 
     @pytest.mark.parametrize("sk", [(2, 4), (2, 7), (3, 4), (4, 3), (5, 3), (11, 2), (13, 1)])
@@ -433,9 +437,16 @@ class TestRoundTrip:
         assert hops == packet.hops_encoded == int(bfs_distances(spec, src)[dst])
 
 
+@lru_cache(maxsize=16)
+def search_tree(spec):
+    """Predecessors of a search from node 0, kept apart from the library's tree cache."""
+    return _bfs(spec, 0)[1]
+
+
 def reference_packet(spec, src, dst, cap=None):
-    """The packet the uncached pipeline builds: path, actions, then one encode."""
-    return encode_path(spec, path_to_actions(spec, shortest_path(spec, src, dst)), dst, cap)
+    """The packet the uncached pipeline builds from a node-0 search: path, actions, one encode."""
+    path = [(v + src) % spec.n for v in _tree_path(search_tree(spec), (dst - src) % spec.n)]
+    return encode_path(spec, path_to_actions(spec, path), dst, cap)
 
 
 class TestPacketCache:
@@ -456,7 +467,7 @@ class TestPacketCache:
         d = diameter(spec)
         for src in range(spec.n):
             for dst in range(spec.n):
-                hops = len(shortest_path(spec, src, dst)) - 1
+                hops = reference_packet(spec, src, dst).hops_encoded
                 # twice per pair: the first offset visit misses, every later call hits
                 for cap in (None, None, d + 2, hops, hops):
                     assert build_packet(spec, src, dst, cap) == reference_packet(
