@@ -13,9 +13,18 @@ hop count follows from the distance alone; a greedy ``run`` walks only that.
 The choice is one bisection on the spec's midpoint ladder: rung j is
 ``(g_j + g_(j+1)) // 2``, and ``g_j`` is kept exactly when the distance is at
 most that rung, so ``generatrices[bisect_left(ladder, distance)]`` is the
-closest generatrix with ties to the smaller one.  ``next_hop``,
-``greedy_path`` and ``_hop_counter`` (the walk a greedy ``run`` makes) all
-choose through it.
+closest generatrix with ties to the smaller one.  ``next_hop`` and
+``greedy_path`` choose through it per hop.  ``_hop_counter`` (the walk a
+greedy ``run`` and ``stretch_report`` make) reads the same rule from a
+per-spec next-distance list, ``nxt[dd] = |dd - g(dd)|`` for dd in
+0..n // 2, filled from the ladder one rung segment at a time: one index per
+hop.  Above NEXT_DISTANCE_NODE_LIMIT nodes, and for a one-packet run, it
+bisects per hop instead, so no list is built.
+
+Greedy walks are shortest, and balanced base-s digits reach any offset in at
+most k * (s // 2) hops, which passes GREEDY_HOP_LIMIT only on rings above
+2**21 + 1 nodes.  There ``greedy_path`` and the bisecting walk refuse, before
+the first hop, a pair whose cyclic distance passes it.
 """
 
 from __future__ import annotations
@@ -30,6 +39,14 @@ from .metrics import _route
 from .topology import CirculantSpec, _check_node, _guard
 
 STRETCH_NODE_LIMIT = 10_000
+
+# Largest spec that walks a next-distance list: n // 2 + 1 entries, 1.2 MiB
+# at 2**16 nodes, and at most 8 lists are cached.
+NEXT_DISTANCE_NODE_LIMIT = 2**16
+
+# Longest greedy walk taken: at this length greedy_path's node list peaks at
+# about 40 MiB and takes about 0.2 s, and a bisecting count about 0.16 s.
+GREEDY_HOP_LIMIT = 2**20
 
 
 class GreedyDecision(NamedTuple):
@@ -92,11 +109,27 @@ def next_hop(spec: CirculantSpec, current: int, dst: int) -> GreedyDecision:
     )
 
 
+def _check_walk(spec: CirculantSpec, src: int, dst: int) -> None:
+    """Refuse, before any hop, a greedy walk longer than GREEDY_HOP_LIMIT hops.
+
+    A greedy walk is shortest, and balanced base-s digits reach every offset
+    in k * (s // 2) hops.  Within MAX_NODES that bound is at most 46 340 for
+    k >= 2, so only a ring can pass the limit, and a ring walk is as long as
+    its cyclic distance.
+    """
+    n = spec.n
+    if spec.k == 1 and n // 2 > GREEDY_HOP_LIMIT:
+        d = (dst - src) % n
+        walk = f"greedy walk from {src} to {dst}"
+        _guard(walk, min(d, n - d), GREEDY_HOP_LIMIT, "hop guard", "hops")
+
+
 def greedy_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
     """Node list of the greedy walk from src to dst (just [src] if equal)."""
     ladder = _ladder(spec)
     _check_node(spec, "source", src)
     _check_node(spec, "destination", dst)
+    _check_walk(spec, src, dst)
     n = spec.n
     half = n // 2
     gens = spec.generatrices
@@ -114,19 +147,60 @@ def greedy_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
     raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
 
 
-def _hop_counter(spec: CirculantSpec):
+@lru_cache(maxsize=8)
+def _next_distances(n: int, gens: tuple[int, ...], ladder: tuple[int, ...]) -> list[int]:
+    """``|dd - gens[bisect_left(ladder, dd)]|`` for every distance dd in 0..n // 2.
+
+    Rung j's segment is the distances that bisect to g_j, from the end of
+    the list so far up to the rung.  Inside it the next distance runs down
+    as ``g_j - dd`` below g_j and up as ``dd - g_j`` from g_j, so one build
+    is at most 2k ``range`` runs.  The key is the ladder, not the spec, so
+    a list always follows the ladder it was filled from.
+    """
+    half = n // 2
+    nxt: list[int] = []
+    for g, top in zip(gens, (*ladder, half)):
+        lo, hi = len(nxt), min(top, half)  # this segment: lo..hi, empty when hi < lo
+        nxt.extend(range(g - lo, g - min(hi + 1, g), -1))
+        nxt.extend(range(max(lo, g) - g, hi + 1 - g))
+    return nxt
+
+
+def _hop_counter(spec: CirculantSpec, batch: bool = True):
     """``(src, dst) -> hops`` of the greedy walk, for nodes already in range.
 
     It counts ``greedy_path``'s hops by walking the cyclic distance
     ``dd -> |dd - g(dd)|``: that is the node walk's next cyclic distance in
-    either direction, and ``g`` reads ``dd`` alone.  The spec is checked once.
+    either direction, and ``g`` reads ``dd`` alone.  For a batch on up to
+    NEXT_DISTANCE_NODE_LIMIT nodes each hop is one index into the spec's
+    next-distance list.  Otherwise each hop bisects the ladder, and a walk
+    past GREEDY_HOP_LIMIT is refused first: one packet walks at most
+    n // 2 hops, fewer than a list build fills.  The spec is checked once.
     """
     ladder = _ladder(spec)
     n = spec.n
     half = n // 2
     gens = spec.generatrices
 
+    if batch and n <= NEXT_DISTANCE_NODE_LIMIT:
+        nxt = _next_distances(n, gens, ladder)
+
+        def hops_of(src: int, dst: int) -> int:
+            d = (dst - src) % n
+            if d > half:
+                d = n - d
+            hops = 0
+            while d:
+                if hops == n:
+                    raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
+                d = nxt[d]
+                hops += 1
+            return hops
+
+        return hops_of
+
     def hops_of(src: int, dst: int) -> int:
+        _check_walk(spec, src, dst)
         d = (dst - src) % n
         if d > half:
             d = n - d

@@ -5,8 +5,9 @@ advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  Source routing
 hands the batch to ``static_route._hop_tally``, which walks each packet's
 admitted path field as a router does (traffic yields in-range nodes only, so
-no pair is re-checked).  Greedy routing walks the greedy rule hop by hop and
-counts the hops without keeping the nodes.  Delivery is checked packet by
+no pair is re-checked).  Greedy routing walks each packet's cyclic distance
+hop by hop (``greedy_route._hop_counter``; a batch on the spec's
+next-distance list) and counts the hops without keeping the nodes.  Delivery is checked packet by
 packet; a packet that stops anywhere but its destination aborts the run with
 a RoutingError rather than being dropped silently.  Either mode hands back
 one mapping from hop count to packets, which gives every figure of the report.
@@ -119,9 +120,9 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     ``seed`` feeds random traffic only when the pattern does not carry its
     own seed.  All-pairs traffic is n(n-1) packets, so it is refused above
     ALL_PAIRS_NODE_LIMIT nodes.  The slowest spec admitted is the ring
-    MC(256,1), 65280 packets of up to 128 hops: about 1.2 s source routed
-    and 0.7 s greedy on one Xeon core under CPython 3.11; MC(2,8), MC(4,4)
-    and MC(16,2) take at most 0.2 s.  Random traffic is not guarded: its
+    MC(256,1), 65280 packets of up to 128 hops: about 0.4 s source routed
+    and 0.15 s greedy on one Xeon core under CPython 3.11; MC(2,8), MC(4,4)
+    and MC(16,2) take at most 0.1 s.  Random traffic is not guarded: its
     cost is linear in a count the caller chose.
 
     Source routed, the run makes one call to ``static_route._hop_tally``,
@@ -139,7 +140,7 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     if mode == "source_routed":
         histogram = _hop_tally(spec, pairs)
     else:
-        histogram = Counter(starmap(_hop_counter(spec), pairs))
+        histogram = Counter(starmap(_hop_counter(spec, traffic.kind != "single"), pairs))
     injected = sum(histogram.values())
     total_hops = sum(hops * count for hops, count in histogram.items())
     max_hops = max(histogram, default=0)

@@ -247,8 +247,9 @@ def _hop_tally(spec: CirculantSpec, pairs) -> dict[int, int]:
     """Forward each (src, dst) pair on its offset's field; map each hop count to its packets.
 
     A memo hit is one dict lookup and each hop a bare decode (mask, step,
-    add mod n, shift): ``_field`` checked every code.  A packet that stops
-    anywhere but its destination raises RoutingError.
+    add, shift): ``_field`` checked every code.  The node is reduced mod n
+    once, at the delivery check; a packet that stops anywhere but its
+    destination raises RoutingError naming the reduced node.
     """
     n, _, steps, b, mask, capacity, fields, _ = _routes(spec)
     counts = [0] * (capacity + 1)
@@ -260,10 +261,10 @@ def _hop_tally(spec: CirculantSpec, pairs) -> dict[int, int]:
         node = src
         hops = 0
         while field:
-            node = (node + steps[field & mask]) % n
+            node += steps[field & mask]
             field >>= b
             hops += 1
-        if node != dst:
-            raise RoutingError(f"packet for {dst} stopped at {node}")
+        if node % n != dst:
+            raise RoutingError(f"packet for {dst} stopped at {node % n}")
         counts[hops] += 1
     return {hops: count for hops, count in enumerate(counts) if count}

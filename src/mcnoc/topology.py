@@ -123,9 +123,9 @@ def _check_float(name: str, v: int) -> None:
         raise ValueError(f"{name} {_int_text(v)} is past the float range") from None
 
 
-def _guard(label: str, n: int, limit: int, guard: str = "guard") -> None:
+def _guard(label: str, n: int, limit: int, guard: str = "guard", unit: str = "nodes") -> None:
     if n > limit:
-        raise GuardLimitError(f"{label} has {n} nodes, above the {limit} {guard}")
+        raise GuardLimitError(f"{label} has {n} {unit}, above the {limit} {guard}")
 
 
 def make_multiplicative(s: int, k: int) -> CirculantSpec:

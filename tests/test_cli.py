@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -20,12 +21,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def child(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with this checkout's src on PYTHONPATH."""
+def child(*args: str, address_space: int | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's src on PYTHONPATH.
+
+    ``address_space`` caps the child's virtual memory in bytes (RLIMIT_AS).
+    """
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=20
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+        preexec_fn=cap if address_space else None,
     )
 
 
@@ -203,6 +216,33 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("invariant violation:")
         assert "guard" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, routed",
+        [
+            (("route", "--from", "0", "--to", "{dst}"), "0 1\n"),
+            (("simulate", "--traffic", "pair:0:{dst}"), '"max_hops": 1,'),
+        ],
+        ids=["route", "simulate"],
+    )
+    def test_greedy_hop_guard_refuses_promptly(self, argv, routed):
+        # on the ring MC(2**31 - 1, 1), 0 -> 2**30 - 1 is a 2**30-hop walk:
+        # about 40 GiB of route nodes, or minutes of counting, without the guard
+        def greedy(dst):
+            ring = ("--s", str(2**31 - 1), "--k", "1", "--algo", "greedy")
+            command, *rest = (arg.format(dst=dst) for arg in argv)
+            return child("-m", "mcnoc.cli", command, *ring, *rest, address_space=2**30)
+
+        refused = greedy(2**30 - 1)
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+        assert refused.stderr == (
+            "invariant violation: greedy walk from 0 to 1073741823 has 1073741823 hops, "
+            "above the 1048576 hop guard\n"
+        )
+        short = greedy(1)  # a short walk on the same ring still routes
+        assert short.returncode == 0, short.stderr
+        assert routed in short.stdout
 
     @pytest.mark.parametrize("algo", ["greedy", "bfs"])
     def test_all_pairs_guard_refuses_promptly(self, algo):

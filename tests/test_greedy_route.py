@@ -1,4 +1,4 @@
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import assume, given, settings
@@ -206,6 +206,117 @@ class TestWalk:
         with pytest.raises(RoutingError) as walked:
             run(spec, "greedy", TrafficPattern.single(0, 1))
         assert str(walked.value) == message
+
+
+RING_ORACLE_NODES = 600
+
+
+def list_specs():
+    """Every MC(s, k) with k >= 2 that walks a next-distance list, and the rings
+    up to RING_ORACLE_NODES nodes."""
+    limit = greedy_route.NEXT_DISTANCE_NODE_LIMIT
+    specs = [make_multiplicative(s, 1) for s in range(3, RING_ORACLE_NODES + 1)]
+    for k in range(2, limit.bit_length()):
+        s = 2
+        while s**k <= limit:
+            specs.append(make_multiplicative(s, k))
+            s += 1
+    return specs
+
+
+@st.composite
+def list_offsets(draw):
+    """(s, k, offset) over the MC(s, k) that walk a next-distance list."""
+    limit = greedy_route.NEXT_DISTANCE_NODE_LIMIT
+    k = draw(st.integers(1, limit.bit_length() - 1))
+    top = 2
+    while (top + 1) ** k <= limit:
+        top += 1
+    s = draw(st.integers(3 if k == 1 else 2, top))
+    return s, k, draw(st.integers(0, s**k - 1))
+
+
+class TestNextDistances:
+    def test_list_is_the_bisection_rule(self, monkeypatch):
+        assert greedy_route.NEXT_DISTANCE_NODE_LIMIT >= 65_536  # MC(4,8) walks a list
+        specs = list_specs()
+        assert len(specs) == 598 + 338
+        for spec in specs:
+            n, gens, ladder = spec.n, spec.generatrices, greedy_route._ladder(spec)
+            nxt = greedy_route._next_distances(n, gens, ladder)
+            assert nxt == [abs(d - gens[bisect_left(ladder, d)]) for d in range(n // 2 + 1)]
+            # so both walks step alike; they count alike on a spread of offsets
+            list_walk = greedy_route._hop_counter(spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(greedy_route, "NEXT_DISTANCE_NODE_LIMIT", 0)
+                bisect_walk = greedy_route._hop_counter(spec)
+            for dst in range(1, n, max(n // 8, 1)):
+                assert list_walk(0, dst) == bisect_walk(0, dst), (spec.label, dst)
+
+    def test_only_a_batch_run_builds_a_list(self):
+        # one packet walks at most n // 2 hops, fewer than a build fills
+        spec = make_multiplicative(4, 8)
+        greedy_route._next_distances.cache_clear()
+        hops = sum(map(abs, _digit_hops(4, 8, 43690)))
+        assert run(spec, "greedy", TrafficPattern.single(0, 43690)).hop_histogram == {hops: 1}
+        assert greedy_route._next_distances.cache_info().currsize == 0
+        run(spec, "greedy", TrafficPattern.random_pairs(2, seed=1))
+        assert greedy_route._next_distances.cache_info().currsize == 1
+
+    def test_list_follows_a_patched_ladder(self):
+        # the cycling ladder of test_hop_guard_stops_a_cycling_walk, an empty
+        # rung segment included: distances 0..4 bisect to 1, 4, 4, 4, 4
+        assert greedy_route._next_distances(8, (1, 2, 4), (0, 0)) == [1, 3, 2, 1, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(list_offsets())
+    def test_list_walk_is_the_digit_dp_distance(self, case):
+        s, k, offset = case
+        spec = make_multiplicative(s, k)
+        assert spec.n <= greedy_route.NEXT_DISTANCE_NODE_LIMIT
+        hops = greedy_route._hop_counter(spec)(0, offset)
+        assert hops == sum(map(abs, _digit_hops(s, k, offset)))
+
+
+class TestHopGuard:
+    ring = make_multiplicative(MAX_NODES, 1)  # n = 2**31 - 1: walks up to 2**30 - 1 hops
+
+    def test_long_walks_are_refused_before_a_hop(self):
+        limit = greedy_route.GREEDY_HOP_LIMIT
+        message = (
+            f"greedy walk from 5 to {limit + 6} has {limit + 1} hops, above the {limit} hop guard"
+        )
+        with pytest.raises(GuardLimitError) as walked:
+            greedy_path(self.ring, 5, limit + 6)
+        assert str(walked.value) == message
+        with pytest.raises(GuardLimitError) as counted:
+            greedy_route._hop_counter(self.ring)(5, limit + 6)
+        assert str(counted.value) == message
+        with pytest.raises(GuardLimitError):
+            run(self.ring, "greedy", TrafficPattern.single(0, 2**30 - 1))
+
+    def test_short_walks_on_the_same_ring_route(self):
+        n = self.ring.n
+        assert greedy_path(self.ring, 0, 1) == [0, 1]
+        assert greedy_path(self.ring, 1, n - 2) == [1, 0, n - 1, n - 2]
+        assert greedy_route._hop_counter(self.ring)(n - 1, 1) == 2
+        assert run(self.ring, "greedy", TrafficPattern.single(0, 7)).hop_histogram == {7: 1}
+
+    def test_only_rings_can_pass_the_limit(self):
+        # k * (s // 2) bounds every walk on MC(s, k), so within MAX_NODES no
+        # spec with k >= 2 needs the guard
+        for k in range(2, MAX_NODES.bit_length()):
+            s = int(MAX_NODES ** (1 / k)) + 1
+            while s**k > MAX_NODES:
+                s -= 1
+            assert k * (s // 2) <= 46_340 < greedy_route.GREEDY_HOP_LIMIT
+
+    def test_a_walk_at_the_limit_is_taken(self):
+        limit = greedy_route.GREEDY_HOP_LIMIT
+        hops_of = greedy_route._hop_counter(make_multiplicative(2 * limit + 3, 1))
+        assert hops_of(0, limit) == limit
+        with pytest.raises(GuardLimitError):
+            hops_of(0, limit + 1)
 
 
 def searched_stretch_report(spec):

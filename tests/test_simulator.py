@@ -168,12 +168,20 @@ class TestRun:
         assert report.hop_histogram == profile
 
     def test_modes_agree_where_greedy_is_shortest(self):
-        spec = make_multiplicative(4, 3)
-        static = run(spec, "source_routed", TrafficPattern.all_pairs())
-        greedy = run(spec, "greedy", TrafficPattern.all_pairs())
-        assert static.hop_histogram == greedy.hop_histogram
-        assert static.avg_hops == greedy.avg_hops
-        assert greedy.max_hops == diameter(spec)
+        # every MC(s, k) with k >= 2 that the all-pairs guard admits: 2 <= s <= 16
+        specs = [
+            make_multiplicative(s, k)
+            for s in range(2, 17)
+            for k in range(2, 9)
+            if s**k <= simulator.ALL_PAIRS_NODE_LIMIT
+        ]
+        assert len(specs) == 28
+        for spec in specs:
+            static = run(spec, "source_routed", TrafficPattern.all_pairs())
+            greedy = run(spec, "greedy", TrafficPattern.all_pairs())
+            assert static.hop_histogram == greedy.hop_histogram, spec.label
+            assert static.avg_hops == greedy.avg_hops
+            assert greedy.max_hops == diameter(spec)
 
     def test_single_pair_run(self):
         spec = make_multiplicative(2, 6)
