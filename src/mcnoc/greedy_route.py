@@ -13,13 +13,15 @@ hop count follows from the distance alone; a greedy ``run`` walks only that.
 The choice is one bisection on the spec's midpoint ladder: rung j is
 ``(g_j + g_(j+1)) // 2``, and ``g_j`` is kept exactly when the distance is at
 most that rung, so ``generatrices[bisect_left(ladder, distance)]`` is the
-closest generatrix with ties to the smaller one.  ``next_hop`` and
-``greedy_path`` choose through it per hop.  ``_hop_counter`` (the walk a
-greedy ``run`` and ``stretch_report`` make) reads the same rule from a
-per-spec next-distance list, ``nxt[dd] = |dd - g(dd)|`` for dd in
-0..n // 2, filled from the ladder one rung segment at a time: one index per
-hop.  Above NEXT_DISTANCE_NODE_LIMIT nodes, and for a one-packet run, it
-bisects per hop instead, so no list is built.
+closest generatrix with ties to the smaller one.  ``next_hop``,
+``greedy_path`` and ``_hop_counter`` (the distance walk of ``stretch_report``
+and of a one-packet ``run``) choose through it per hop.  ``_hop_tally``, the
+walk of a batch ``run``, reads the same rule from a per-spec next-distance
+list, ``nxt[dd] = |dd - g(dd)|`` for dd in 0..n // 2, filled from the ladder
+one rung segment at a time and refused at build if some step does not
+shrink: one index per hop, and one tally slot per packet.  Above
+NEXT_DISTANCE_NODE_LIMIT nodes, and for a one-packet run, it counts
+``_hop_counter``'s walks instead, so no list is built.
 
 Greedy walks are shortest, and balanced base-s digits reach any offset in at
 most k * (s // 2) hops, which passes GREEDY_HOP_LIMIT only on rings above
@@ -30,8 +32,10 @@ the first hop, a pair whose cyclic distance passes it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 from typing import NamedTuple
 
 from .errors import RoutingError
@@ -154,50 +158,46 @@ def _next_distances(n: int, gens: tuple[int, ...], ladder: tuple[int, ...]) -> l
     Rung j's segment is the distances that bisect to g_j, from the end of
     the list so far up to the rung.  Inside it the next distance runs down
     as ``g_j - dd`` below g_j and up as ``dd - g_j`` from g_j, so one build
-    is at most 2k ``range`` runs.  The key is the ladder, not the spec, so
-    a list always follows the ladder it was filled from.
+    is at most 2k slices of one pool of values, and entries share their int
+    objects.  The key is the ladder, not the spec, so a list always follows
+    the ladder it was filled from.
+
+    A list where some ``nxt[dd] >= dd`` for dd >= 1 raises RoutingError and
+    is never cached, so a walk on a cached list ends within dd hops.  Inside
+    a run ``dd - nxt[dd]`` never falls (``2dd - g_j``, then ``g_j``), and a
+    run starting at g_j passes there, so the check reads only dd = 1 and the
+    distance just past each rung.
     """
     half = n // 2
-    nxt: list[int] = []
+    runs = []  # (start, stop, step) slices of the pool
+    lo = 0
     for g, top in zip(gens, (*ladder, half)):
-        lo, hi = len(nxt), min(top, half)  # this segment: lo..hi, empty when hi < lo
-        nxt.extend(range(g - lo, g - min(hi + 1, g), -1))
-        nxt.extend(range(max(lo, g) - g, hi + 1 - g))
+        hi = min(top, half)  # this segment: lo..hi, empty when hi < lo
+        runs += (max(g - lo, 0), max(g - hi - 1, 0), -1), (max(lo - g, 0), max(hi + 1 - g, 0), 1)
+        lo = max(lo, hi + 1)
+    pool = list(range(1 + max(max(start, stop) for start, stop, _ in runs)))
+    nxt: list[int] = []
+    for start, stop, step in runs:
+        nxt += pool[start:stop:step]
+    for dd in {1, *(rung + 1 for rung in ladder)}:
+        if 1 <= dd <= half and nxt[dd] >= dd:
+            raise RoutingError(f"greedy step from distance {dd} goes to {nxt[dd]}, not closer")
     return nxt
 
 
-def _hop_counter(spec: CirculantSpec, batch: bool = True):
+def _hop_counter(spec: CirculantSpec):
     """``(src, dst) -> hops`` of the greedy walk, for nodes already in range.
 
     It counts ``greedy_path``'s hops by walking the cyclic distance
     ``dd -> |dd - g(dd)|``: that is the node walk's next cyclic distance in
-    either direction, and ``g`` reads ``dd`` alone.  For a batch on up to
-    NEXT_DISTANCE_NODE_LIMIT nodes each hop is one index into the spec's
-    next-distance list.  Otherwise each hop bisects the ladder, and a walk
-    past GREEDY_HOP_LIMIT is refused first: one packet walks at most
-    n // 2 hops, fewer than a list build fills.  The spec is checked once.
+    either direction, and ``g`` reads ``dd`` alone.  Each hop bisects the
+    ladder, and a walk past GREEDY_HOP_LIMIT is refused first.  The spec is
+    checked once.
     """
     ladder = _ladder(spec)
     n = spec.n
     half = n // 2
     gens = spec.generatrices
-
-    if batch and n <= NEXT_DISTANCE_NODE_LIMIT:
-        nxt = _next_distances(n, gens, ladder)
-
-        def hops_of(src: int, dst: int) -> int:
-            d = (dst - src) % n
-            if d > half:
-                d = n - d
-            hops = 0
-            while d:
-                if hops == n:
-                    raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
-                d = nxt[d]
-                hops += 1
-            return hops
-
-        return hops_of
 
     def hops_of(src: int, dst: int) -> int:
         _check_walk(spec, src, dst)
@@ -215,6 +215,34 @@ def _hop_counter(spec: CirculantSpec, batch: bool = True):
         return hops
 
     return hops_of
+
+
+def _hop_tally(spec: CirculantSpec, pairs, batch: bool = True) -> dict[int, int]:
+    """Walk each (src, dst) pair's greedy distance; map each hop count to its packets.
+
+    A batch on up to NEXT_DISTANCE_NODE_LIMIT nodes walks the spec's checked
+    next-distance list into k * (s // 2) + 1 slots, and a longer walk raises
+    RoutingError (greedy walks are shortest); else it counts ``_hop_counter``.
+    """
+    n = spec.n
+    if not batch or n > NEXT_DISTANCE_NODE_LIMIT:
+        return Counter(starmap(_hop_counter(spec), pairs))
+    nxt = _next_distances(n, spec.generatrices, _ladder(spec))
+    half = n // 2
+    bound = spec.k * (spec.s // 2)
+    counts = [0] * (bound + 1)
+    for src, dst in pairs:
+        d = (dst - src) % n
+        if d > half:
+            d = n - d
+        hops = 0
+        while d:
+            d = nxt[d]
+            hops += 1
+        if hops > bound:
+            raise RoutingError(f"greedy walk from {src} to {dst} exceeded {bound} hops")
+        counts[hops] += 1
+    return {hops: count for hops, count in enumerate(counts) if count}
 
 
 @dataclass(frozen=True)

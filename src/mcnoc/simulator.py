@@ -5,12 +5,14 @@ advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  Source routing
 hands the batch to ``static_route._hop_tally``, which walks each packet's
 admitted path field as a router does (traffic yields in-range nodes only, so
-no pair is re-checked).  Greedy routing walks each packet's cyclic distance
-hop by hop (``greedy_route._hop_counter``; a batch on the spec's
-next-distance list) and counts the hops without keeping the nodes.  Delivery is checked packet by
-packet; a packet that stops anywhere but its destination aborts the run with
-a RoutingError rather than being dropped silently.  Either mode hands back
-one mapping from hop count to packets, which gives every figure of the report.
+no pair is re-checked).  Greedy routing hands the batch to
+``greedy_route._hop_tally``, which walks each packet's cyclic distance hop by
+hop (a batch on the spec's next-distance list, one packet by bisecting the
+ladder) and counts the hops without keeping the nodes.  Delivery is checked
+packet by packet; a packet that stops anywhere but its destination aborts
+the run with a RoutingError rather than being dropped silently.  Either mode
+hands back one mapping from hop count to packets, which gives every figure
+of the report.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -21,13 +23,12 @@ draw and dst the next, drawn again while it equals src.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import permutations, starmap
+from itertools import permutations
 
-from .greedy_route import _hop_counter, greedy_path
+from . import greedy_route, static_route
+from .greedy_route import greedy_path
 from .metrics import _search_route
-from .static_route import _hop_tally
 from .topology import CirculantSpec, _at_least, _check_int, _check_node, _guard
 
 MODES = ("source_routed", "greedy")
@@ -121,7 +122,7 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     own seed.  All-pairs traffic is n(n-1) packets, so it is refused above
     ALL_PAIRS_NODE_LIMIT nodes.  The slowest spec admitted is the ring
     MC(256,1), 65280 packets of up to 128 hops: about 0.4 s source routed
-    and 0.15 s greedy on one Xeon core under CPython 3.11; MC(2,8), MC(4,4)
+    and 0.1 s greedy on one Xeon core under CPython 3.11; MC(2,8), MC(4,4)
     and MC(16,2) take at most 0.1 s.  Random traffic is not guarded: its
     cost is linear in a count the caller chose.
 
@@ -129,7 +130,8 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     which reads the spec's offset -> path-field memo, admits each missing
     offset once per spec (every code checked), walks every packet with a
     bare decode, checking its delivery, and maps each hop count to its
-    packets, as the greedy Counter does.
+    packets.  Greedy, it makes one call to ``greedy_route._hop_tally``,
+    which returns the same mapping.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -138,9 +140,9 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
         _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
     pairs = traffic.pairs(spec, default_seed=seed)
     if mode == "source_routed":
-        histogram = _hop_tally(spec, pairs)
+        histogram = static_route._hop_tally(spec, pairs)
     else:
-        histogram = Counter(starmap(_hop_counter(spec, traffic.kind != "single"), pairs))
+        histogram = greedy_route._hop_tally(spec, pairs, traffic.kind != "single")
     injected = sum(histogram.values())
     total_hops = sum(hops * count for hops, count in histogram.items())
     max_hops = max(histogram, default=0)

@@ -252,6 +252,25 @@ def test_only_the_route_core_names_the_tree_and_the_digit_dp(name, owners):
     assert {path.name for path in SOURCES if name in _names(path)} == owners
 
 
+def test_one_function_walks_the_next_distance_list():
+    # the batch tally is the one list walk in src/; every other greedy walk
+    # bisects the ladder, so a second list walk cannot drift from it
+    path = next(path for path in SOURCES if path.name == "greedy_route.py")
+    readers = {
+        node.name
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(name, ast.Name) and name.id == "_next_distances"
+            for name in ast.walk(node)
+        )
+    }
+    assert readers == {"_hop_tally"}
+    assert [path.name for path in SOURCES if "_next_distances" in _names(path)] == [
+        "greedy_route.py"
+    ]
+
+
 def test_only_topology_words_the_argument_checks():
     # the guard and lower-bound messages are written once, in topology; every
     # other module raises them through its checks and never names the error

@@ -1,7 +1,9 @@
 from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import starmap
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcnoc import (
@@ -21,6 +23,7 @@ from mcnoc import (
 )
 from mcnoc import greedy_route
 from mcnoc.metrics import _digit_hops
+from mcnoc.simulator import ALL_PAIRS_NODE_LIMIT
 from mcnoc.topology import MAX_NODES
 
 small_specs = st.tuples(st.integers(2, 6), st.integers(1, 4)).filter(
@@ -206,6 +209,10 @@ class TestWalk:
         with pytest.raises(RoutingError) as walked:
             run(spec, "greedy", TrafficPattern.single(0, 1))
         assert str(walked.value) == message
+        # a batch never walks it: the list build refuses the step 1 -> 3
+        with pytest.raises(RoutingError) as built:
+            run(spec, "greedy", TrafficPattern.random_pairs(2, seed=1))
+        assert str(built.value) == "greedy step from distance 1 goes to 3, not closer"
 
 
 RING_ORACLE_NODES = 600
@@ -237,7 +244,7 @@ def list_offsets(draw):
 
 
 class TestNextDistances:
-    def test_list_is_the_bisection_rule(self, monkeypatch):
+    def test_list_is_the_bisection_rule(self):
         assert greedy_route.NEXT_DISTANCE_NODE_LIMIT >= 65_536  # MC(4,8) walks a list
         specs = list_specs()
         assert len(specs) == 598 + 338
@@ -246,12 +253,10 @@ class TestNextDistances:
             nxt = greedy_route._next_distances(n, gens, ladder)
             assert nxt == [abs(d - gens[bisect_left(ladder, d)]) for d in range(n // 2 + 1)]
             # so both walks step alike; they count alike on a spread of offsets
-            list_walk = greedy_route._hop_counter(spec)
-            with monkeypatch.context() as patch:
-                patch.setattr(greedy_route, "NEXT_DISTANCE_NODE_LIMIT", 0)
-                bisect_walk = greedy_route._hop_counter(spec)
+            bisect_walk = greedy_route._hop_counter(spec)
             for dst in range(1, n, max(n // 8, 1)):
-                assert list_walk(0, dst) == bisect_walk(0, dst), (spec.label, dst)
+                hops = bisect_walk(0, dst)
+                assert greedy_route._hop_tally(spec, [(0, dst)]) == {hops: 1}, (spec.label, dst)
 
     def test_only_a_batch_run_builds_a_list(self):
         # one packet walks at most n // 2 hops, fewer than a build fills
@@ -264,9 +269,56 @@ class TestNextDistances:
         assert greedy_route._next_distances.cache_info().currsize == 1
 
     def test_list_follows_a_patched_ladder(self):
-        # the cycling ladder of test_hop_guard_stops_a_cycling_walk, an empty
-        # rung segment included: distances 0..4 bisect to 1, 4, 4, 4, 4
-        assert greedy_route._next_distances(8, (1, 2, 4), (0, 0)) == [1, 3, 2, 1, 0]
+        # rungs past n // 2 always pick 1, empty rung segments included: every
+        # step shrinks by one, so the list is accepted
+        assert greedy_route._next_distances(64, (1, 4, 16), (32, 32)) == [1, *range(32)]
+
+    def test_a_step_that_does_not_shrink_is_refused_and_never_cached(self):
+        # the cycling ladder of test_hop_guard_stops_a_cycling_walk: distances
+        # 0..4 bisect to 1, 4, 4, 4, 4, so distance 1 steps to 3
+        greedy_route._next_distances.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RoutingError) as built:
+                greedy_route._next_distances(8, (1, 2, 4), (0, 0))
+            assert str(built.value) == "greedy step from distance 1 goes to 3, not closer"
+        assert greedy_route._next_distances.cache_info().currsize == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(6, 80).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, n), min_size=1, max_size=5),
+                st.lists(st.integers(-2, n), max_size=4),
+            )
+        )
+    )
+    @example((8, [1, 8], [3]))  # only dd = n // 2 = 4 fails: it steps to |4 - 8| = 4
+    @example((8, [2], []))  # only dd = 1 fails: it steps to |1 - 2| = 1
+    def test_the_build_check_is_the_check_of_every_entry(self, case):
+        # the build checks only where a run may start; any ladder, sorted or
+        # not, is refused exactly when some entry fails to shrink
+        n, gens, ladder = case
+        gens, ladder = tuple(gens), tuple(ladder[: len(gens) - 1])
+        half = n // 2
+        want = []
+        for g, top in zip(gens, (*ladder, half)):
+            want += [abs(d - g) for d in range(len(want), min(top, half) + 1)]
+        if any(want[d] >= d for d in range(1, half + 1)):
+            with pytest.raises(RoutingError):
+                greedy_route._next_distances(n, gens, ladder)
+        else:
+            assert greedy_route._next_distances(n, gens, ladder) == want
+
+    def test_a_walk_past_the_bound_is_refused(self, monkeypatch):
+        # rungs past n // 2 always pick 1: the list shrinks by one per hop, so
+        # distance 7 walks 7 hops, past MC(4,3)'s k * (s // 2) = 6
+        spec = make_multiplicative(4, 3)
+        monkeypatch.setattr(greedy_route, "_ladder", lambda spec: (32, 32))
+        assert greedy_route._hop_tally(spec, [(0, 6), (9, 3)]) == {6: 2}
+        with pytest.raises(RoutingError) as walked:
+            run(spec, "greedy", TrafficPattern.all_pairs())
+        assert str(walked.value) == "greedy walk from 0 to 7 exceeded 6 hops"
 
     @settings(max_examples=300, deadline=None)
     @given(list_offsets())
@@ -274,8 +326,53 @@ class TestNextDistances:
         s, k, offset = case
         spec = make_multiplicative(s, k)
         assert spec.n <= greedy_route.NEXT_DISTANCE_NODE_LIMIT
-        hops = greedy_route._hop_counter(spec)(0, offset)
-        assert hops == sum(map(abs, _digit_hops(s, k, offset)))
+        hops = sum(map(abs, _digit_hops(s, k, offset)))
+        assert greedy_route._hop_tally(spec, [(0, offset)]) == {hops: 1}
+
+
+# every ring up to 32 nodes, and those either side of 64, 128 and 256: a
+# ring's all-pairs walk is about n**3 / 4 hops, 2.7e8 for every ring to 256
+ORACLE_RINGS = (*range(3, 33), 63, 64, 65, 127, 128, 129, 255, ALL_PAIRS_NODE_LIMIT)
+
+
+def all_pairs_specs():
+    """Every MC(s, k) with k >= 2 that the all-pairs guard admits, and ORACLE_RINGS."""
+    limit = ALL_PAIRS_NODE_LIMIT
+    specs = [make_multiplicative(s, 1) for s in ORACLE_RINGS]
+    for k in range(2, limit.bit_length()):
+        specs += [make_multiplicative(s, k) for s in range(2, limit) if s**k <= limit]
+    return specs
+
+
+class TestTally:
+    def test_all_pairs_tally_is_the_bisecting_walk_and_the_digit_dp(self):
+        specs = all_pairs_specs()
+        assert len(specs) == 38 + 28
+        for spec in specs:
+            n, s, k = spec.n, spec.s, spec.k
+            pairs = TrafficPattern.all_pairs().pairs(spec)
+            tally = greedy_route._hop_tally(spec, pairs)
+            # the bisecting walk reads the offset alone, so the per-pair Counter
+            # is checked where it is cheap and n times node 0's elsewhere
+            bisect_walk = greedy_route._hop_counter(spec)
+            if n <= 64 or k > 1:
+                walked = Counter(starmap(bisect_walk, TrafficPattern.all_pairs().pairs(spec)))
+            else:
+                walked = Counter({h: n * c for h, c in Counter(
+                    bisect_walk(0, off) for off in range(1, n)).items()})
+            dp = Counter(sum(map(abs, _digit_hops(s, k, off))) for off in range(1, n))
+            assert tally == walked == {hops: n * count for hops, count in dp.items()}, spec.label
+
+    # sim-greedy's random batches: MC(4,6) x 2000, MC(2,12) x 2000 and MC(4,8) x 1600
+    @pytest.mark.parametrize("sk, count", [((4, 6), 2000), ((2, 12), 2000), ((4, 8), 1600)])
+    @pytest.mark.parametrize("seed", [1000, 1003, 9000, 9011])
+    def test_random_batch_tally_is_the_bisecting_walk(self, sk, count, seed):
+        spec = make_multiplicative(*sk)
+        traffic = TrafficPattern.random_pairs(count, seed=seed)
+        tally = greedy_route._hop_tally(spec, traffic.pairs(spec))
+        walked = Counter(starmap(greedy_route._hop_counter(spec), traffic.pairs(spec)))
+        assert tally == walked
+        assert sum(tally.values()) == count
 
 
 class TestHopGuard:
