@@ -35,7 +35,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
 from typing import NamedTuple
 
 from .errors import RoutingError
@@ -186,7 +185,7 @@ def _next_distances(n: int, gens: tuple[int, ...], ladder: tuple[int, ...]) -> l
 
 
 def _hop_counter(spec: CirculantSpec):
-    """``(src, dst) -> hops`` of the greedy walk, for nodes already in range.
+    """``offset -> hops`` of the greedy walk from node 0, for an offset already in range.
 
     It counts ``greedy_path``'s hops by walking the cyclic distance
     ``dd -> |dd - g(dd)|``: that is the node walk's next cyclic distance in
@@ -199,15 +198,13 @@ def _hop_counter(spec: CirculantSpec):
     half = n // 2
     gens = spec.generatrices
 
-    def hops_of(src: int, dst: int) -> int:
-        _check_walk(spec, src, dst)
-        d = (dst - src) % n
-        if d > half:
-            d = n - d
+    def hops_of(off: int) -> int:
+        _check_walk(spec, 0, off)
+        d = off if off <= half else n - off
         hops = 0
         while d:
             if hops == n:
-                raise RoutingError(f"greedy walk from {src} to {dst} exceeded {n} hops")
+                raise RoutingError(f"greedy walk from 0 to {off} exceeded {n} hops")
             d -= gens[bisect_left(ladder, d)]
             if d < 0:
                 d = -d
@@ -217,8 +214,8 @@ def _hop_counter(spec: CirculantSpec):
     return hops_of
 
 
-def _hop_tally(spec: CirculantSpec, pairs, batch: bool = True) -> dict[int, int]:
-    """Walk each (src, dst) pair's greedy distance; map each hop count to its packets.
+def _hop_tally(spec: CirculantSpec, offsets, batch: bool = True) -> dict[int, int]:
+    """Walk each offset's greedy distance from node 0; map each hop count to its packets.
 
     A batch on up to NEXT_DISTANCE_NODE_LIMIT nodes walks the spec's checked
     next-distance list into k * (s // 2) + 1 slots, and a longer walk raises
@@ -226,21 +223,19 @@ def _hop_tally(spec: CirculantSpec, pairs, batch: bool = True) -> dict[int, int]
     """
     n = spec.n
     if not batch or n > NEXT_DISTANCE_NODE_LIMIT:
-        return Counter(starmap(_hop_counter(spec), pairs))
+        return Counter(map(_hop_counter(spec), offsets))
     nxt = _next_distances(n, spec.generatrices, _ladder(spec))
     half = n // 2
     bound = spec.k * (spec.s // 2)
     counts = [0] * (bound + 1)
-    for src, dst in pairs:
-        d = (dst - src) % n
-        if d > half:
-            d = n - d
+    for off in offsets:
+        d = off if off <= half else n - off
         hops = 0
         while d:
             d = nxt[d]
             hops += 1
         if hops > bound:
-            raise RoutingError(f"greedy walk from {src} to {dst} exceeded {bound} hops")
+            raise RoutingError(f"greedy walk from 0 to {off} exceeded {bound} hops")
         counts[hops] += 1
     return {hops: count for hops, count in enumerate(counts) if count}
 
@@ -266,7 +261,7 @@ def stretch_report(spec: CirculantSpec) -> StretchReport:
     worst_ratio = 0.0
     stretched = []  # (offset, greedy_hops, shortest_hops) where stretch > 1
     for offset in range(1, n):
-        greedy_hops = hops_of(0, offset)
+        greedy_hops = hops_of(offset)
         shortest = sum(hops for _, hops in _route(spec, offset))
         ratio = greedy_hops / shortest
         total += ratio

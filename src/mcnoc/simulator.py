@@ -2,29 +2,34 @@
 
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
-a run is simply the longest hop count among its packets.  Source routing
-hands the batch to ``static_route._hop_tally``, which walks each packet's
-admitted path field as a router does (traffic yields in-range nodes only, so
-no pair is re-checked).  Greedy routing hands the batch to
-``greedy_route._hop_tally``, which walks each packet's cyclic distance hop by
-hop (a batch on the spec's next-distance list, one packet by bisecting the
-ladder) and counts the hops without keeping the nodes.  Delivery is checked
-packet by packet; a packet that stops anywhere but its destination aborts
-the run with a RoutingError rather than being dropped silently.  Either mode
-hands back one mapping from hop count to packets, which gives every figure
-of the report.
+a run is simply the longest hop count among its packets.  A circulant is
+vertex transitive, so the walk from src to dst is the walk from node 0 to
+the offset (dst - src) mod n, shifted by src: ``run`` reads the traffic as a
+stream of offsets (``TrafficPattern._offsets``: the offsets of ``pairs``,
+all-pairs traffic as n copies of 1..n-1) and walks every packet as its
+offset's node-0 walk.  Source routing hands the stream to
+``static_route._hop_tally``, which walks each packet's admitted path field
+as a router does (traffic yields in-range offsets only, so no node is
+re-checked).  Greedy routing hands it to ``greedy_route._hop_tally``, which
+walks each packet's cyclic distance hop by hop (a batch on the spec's
+next-distance list, one packet by bisecting the ladder) and counts the hops
+without keeping the nodes.  Delivery is checked packet by packet; a packet
+that stops anywhere but its offset aborts the run with a RoutingError rather
+than being dropped silently.  Either mode hands back one mapping from hop
+count to packets, which gives every figure of the report.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
 so a seed produces the same pairs on every platform and run: src is one
-draw and dst the next, drawn again while it equals src.
+draw and dst the next, drawn again while it equals src.  ``_draws`` is the
+one writing of it, for pairs and offsets alike.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from itertools import permutations
+from itertools import chain, permutations, repeat
 
 from . import greedy_route, static_route
 from .greedy_route import greedy_path
@@ -83,23 +88,43 @@ class TrafficPattern:
         return cls(kind="single", src=src, dst=dst)
 
     def pairs(self, spec: CirculantSpec, default_seed: int = 0):
-        n = spec.n
         if self.kind == "all_pairs":
-            yield from permutations(range(n), 2)
+            yield from permutations(range(spec.n), 2)
         elif self.kind == "random_pairs":
-            seed = self.seed if self.seed is not None else default_seed
-            x = seed % 2**32
-            for _ in range(self.count):
-                x = (1664525 * x + 1013904223) & 0xFFFFFFFF
-                src = dst = x % n
-                while dst == src:  # draws dst at least once, and again on a repeat
-                    x = (1664525 * x + 1013904223) & 0xFFFFFFFF
-                    dst = x % n
-                yield src, dst
+            yield from self._draws(spec.n, default_seed, False)
         else:  # single
             _check_node(spec, "source", self.src)
             _check_node(spec, "destination", self.dst)
             yield self.src, self.dst
+
+    def _offsets(self, spec: CirculantSpec, default_seed: int = 0):
+        """The offset (dst - src) mod n of each pair ``pairs`` yields.
+
+        Random and single traffic keep ``pairs``'s order, and single traffic
+        checks its nodes before it returns.  All-pairs traffic is n copies
+        of 1..n-1: each source's offsets, ascending, with no Python work per
+        packet.
+        """
+        n = spec.n
+        if self.kind == "all_pairs":
+            return chain.from_iterable(repeat(range(1, n), n))
+        if self.kind == "random_pairs":
+            return self._draws(n, default_seed, True)
+        return [(dst - src) % n for src, dst in self.pairs(spec)]
+
+    def _draws(self, n: int, default_seed: int, offsets: bool):
+        """The random pairs on n nodes, or with ``offsets`` their offsets."""
+        x = (self.seed if self.seed is not None else default_seed) % 2**32
+        for _ in range(self.count):
+            x = (1664525 * x + 1013904223) & 0xFFFFFFFF
+            src = dst = x % n
+            while dst == src:  # draws dst at least once, and again on a repeat
+                x = (1664525 * x + 1013904223) & 0xFFFFFFFF
+                dst = x % n
+            if offsets:
+                yield (dst - src) % n
+            else:
+                yield src, dst
 
 
 @dataclass(frozen=True)
@@ -121,28 +146,30 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     ``seed`` feeds random traffic only when the pattern does not carry its
     own seed.  All-pairs traffic is n(n-1) packets, so it is refused above
     ALL_PAIRS_NODE_LIMIT nodes.  The slowest spec admitted is the ring
-    MC(256,1), 65280 packets of up to 128 hops: about 0.4 s source routed
+    MC(256,1), 65280 packets of up to 128 hops: about 0.38 s source routed
     and 0.1 s greedy on one Xeon core under CPython 3.11; MC(2,8), MC(4,4)
-    and MC(16,2) take at most 0.1 s.  Random traffic is not guarded: its
+    and MC(16,2) take at most 0.05 s.  Random traffic is not guarded: its
     cost is linear in a count the caller chose.
 
-    Source routed, the run makes one call to ``static_route._hop_tally``,
-    which reads the spec's offset -> path-field memo, admits each missing
-    offset once per spec (every code checked), walks every packet with a
-    bare decode, checking its delivery, and maps each hop count to its
-    packets.  Greedy, it makes one call to ``greedy_route._hop_tally``,
-    which returns the same mapping.
+    Every packet is walked as its offset's node-0 walk, and the run reads
+    only the pattern's offset stream, never its pairs.  Source routed, the
+    run makes one call to ``static_route._hop_tally``, which reads the
+    spec's offset -> path-field memo, admits each missing offset once per
+    spec (every code checked), walks every packet from node 0 with a bare
+    decode, checking that it stops at its offset, and maps each hop count
+    to its packets.  Greedy, it makes one call to
+    ``greedy_route._hop_tally``, which returns the same mapping.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_int("seed", seed)
     if traffic.kind == "all_pairs":
         _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
-    pairs = traffic.pairs(spec, default_seed=seed)
+    offsets = traffic._offsets(spec, default_seed=seed)
     if mode == "source_routed":
-        histogram = static_route._hop_tally(spec, pairs)
+        histogram = static_route._hop_tally(spec, offsets)
     else:
-        histogram = greedy_route._hop_tally(spec, pairs, traffic.kind != "single")
+        histogram = greedy_route._hop_tally(spec, offsets, traffic.kind != "single")
     injected = sum(histogram.values())
     total_hops = sum(hops * count for hops, count in histogram.items())
     max_hops = max(histogram, default=0)

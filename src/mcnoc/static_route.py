@@ -19,8 +19,8 @@ nodes; ``_field`` packs them into a path field, one shift-or per run.  Each
 spec keeps one memo from offset to path field (``_routes``, at most
 OFFSET_CACHE_SIZE fields and 64 KiB), which admits a field once after
 checking every code.  ``build_packet`` frames it per pair and a source-routed
-``simulator.run`` walks it for every pair.  ``path_to_actions`` and
-``encode_path`` encode a caller's own route.
+``simulator.run`` walks it from node 0 for every packet.  ``path_to_actions``
+and ``encode_path`` encode a caller's own route.
 """
 
 from __future__ import annotations
@@ -243,28 +243,29 @@ def build_packet(
     return SourceRoutedPacket(dst, field, b, hops, hop_capacity)
 
 
-def _hop_tally(spec: CirculantSpec, pairs) -> dict[int, int]:
-    """Forward each (src, dst) pair on its offset's field; map each hop count to its packets.
+def _hop_tally(spec: CirculantSpec, offsets) -> dict[int, int]:
+    """Forward a packet on each offset's field from node 0; map each hop count to its packets.
 
-    A memo hit is one dict lookup and each hop a bare decode (mask, step,
-    add, shift): ``_field`` checked every code.  The node is reduced mod n
-    once, at the delivery check; a packet that stops anywhere but its
-    destination raises RoutingError naming the reduced node.
+    Every route is the node-0 route shifted by its source, so the walk from
+    0 to the offset stands for the packet.  A memo hit is one dict lookup
+    and each hop a bare decode (mask, step, add, shift): ``_field`` checked
+    every code.  The node is reduced mod n once, at the delivery check; a
+    packet that stops anywhere but its offset raises RoutingError naming
+    the reduced node.
     """
     n, _, steps, b, mask, capacity, fields, _ = _routes(spec)
     counts = [0] * (capacity + 1)
-    for src, dst in pairs:
-        off = (dst - src) % n
+    for off in offsets:
         field = fields.get(off)
         if field is None:
             field = _field(spec, off)
-        node = src
+        node = 0
         hops = 0
         while field:
             node += steps[field & mask]
             field >>= b
             hops += 1
-        if node % n != dst:
-            raise RoutingError(f"packet for {dst} stopped at {node % n}")
+        if node % n != off:
+            raise RoutingError(f"packet for {off} stopped at {node % n}")
         counts[hops] += 1
     return {hops: count for hops, count in enumerate(counts) if count}

@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 
@@ -64,6 +65,13 @@ NODE_ARGUMENTS = [
     ("bfs_distances", "source", lambda v: bfs_distances(SPEC, v)),
     ("single.pairs", "source", lambda v: list(TrafficPattern.single(v, 3).pairs(SPEC))),
     ("single.pairs", "destination", lambda v: list(TrafficPattern.single(3, v).pairs(SPEC))),
+    # run reads the offset stream, which checks a single pair's nodes as pairs does
+    ("run.greedy", "source", lambda v: run(SPEC, "greedy", TrafficPattern.single(v, 3))),
+    ("run.greedy", "destination", lambda v: run(SPEC, "greedy", TrafficPattern.single(3, v))),
+    ("run.source_routed", "source",
+     lambda v: run(SPEC, "source_routed", TrafficPattern.single(v, 3))),
+    ("run.source_routed", "destination",
+     lambda v: run(SPEC, "source_routed", TrafficPattern.single(3, v))),
 ]
 
 
@@ -269,6 +277,43 @@ def test_one_function_walks_the_next_distance_list():
     assert [path.name for path in SOURCES if "_next_distances" in _names(path)] == [
         "greedy_route.py"
     ]
+
+
+LCG_CONSTANTS = {1664525, 1013904223}
+
+
+def _lcg_writers(node, owner: str, found: Counter) -> Counter:
+    """Count each LCG multiplier and increment written as an int constant
+    under node, by the innermost function holding it (owner outside any)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            _lcg_writers(child, f"{owner.partition('.')[0]}.{child.name}", found)
+            continue
+        if (isinstance(child, ast.Constant) and type(child.value) is int
+                and child.value in LCG_CONSTANTS):
+            found[owner, child.value] += 1
+        _lcg_writers(child, owner, found)
+    return found
+
+
+def test_one_function_writes_the_traffic_generator():
+    # the recurrence and the redraw rule are written once, for pairs and
+    # offsets alike, so the offsets run walks cannot drift from the pairs
+    found = Counter()
+    for path in SOURCES:
+        _lcg_writers(ast.parse(path.read_text()), path.stem, found)
+    assert {owner for owner, _ in found} == {"simulator._draws"}
+    assert {value for _, value in found} == LCG_CONSTANTS
+
+
+def test_run_never_reads_the_pairs():
+    # run walks the offset stream; pairs stays public for callers of their own
+    simulator_py = next(path for path in SOURCES if path.name == "simulator.py")
+    run_def = next(node for node in ast.parse(simulator_py.read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "run")
+    attributes = {node.attr for node in ast.walk(run_def) if isinstance(node, ast.Attribute)}
+    assert "pairs" not in attributes
+    assert "_offsets" in attributes
 
 
 def test_only_topology_words_the_argument_checks():

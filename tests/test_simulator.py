@@ -148,6 +148,51 @@ class TestTrafficPatterns:
             TrafficPattern.random_pairs(-1)
 
 
+# every MC(s, k) with k >= 2 that the all-pairs guard admits, and every ring it admits
+ALL_PAIRS_SPECS = [
+    make_multiplicative(s, k)
+    for k in range(1, 9)
+    for s in range(3 if k == 1 else 2, simulator.ALL_PAIRS_NODE_LIMIT + 1)
+    if s**k <= simulator.ALL_PAIRS_NODE_LIMIT
+]
+SEEDS = st.integers(-(2**70), 2**70)
+
+
+class TestOffsetStream:
+    """``run`` reads ``_offsets``; ``pairs`` is the oracle for every kind."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mc_specs(), st.integers(0, 300), SEEDS | st.none(), SEEDS)
+    @example(make_multiplicative(3, 9), 0, 5, 0)
+    @example(make_multiplicative(3, 9), 200, None, -1)
+    @example(make_multiplicative(3, 9), 200, 2**64 + 3, 7)
+    @example(make_multiplicative(3, 1), 200, -(2**70), 0)  # n = 3 redraws often
+    def test_random_offsets_are_the_offsets_of_the_pairs(self, spec, count, seed, default_seed):
+        traffic = TrafficPattern.random_pairs(count, seed)
+        n = spec.n
+        want = [(dst - src) % n for src, dst in traffic.pairs(spec, default_seed)]
+        assert list(traffic._offsets(spec, default_seed)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(mc_specs(), st.integers(0, MAX_NODES), st.integers(0, MAX_NODES))
+    @example(make_multiplicative(3, 9), 19682, 0)  # the pair (19682, 0): offset 1
+    def test_single_offset_is_the_offset_of_its_pair(self, spec, a, b):
+        n = spec.n
+        src = a % n
+        traffic = TrafficPattern.single(src, (src + 1 + b % (n - 1)) % n)
+        assert list(traffic._offsets(spec)) == [(d - s) % n for s, d in traffic.pairs(spec)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(ALL_PAIRS_SPECS))
+    @example(make_multiplicative(3, 5))  # odd n
+    @example(make_multiplicative(256, 1))
+    def test_all_pairs_offsets_are_n_copies_of_each_offset(self, spec):
+        n = spec.n
+        offsets = Counter(TrafficPattern.all_pairs()._offsets(spec))
+        assert offsets == {off: n for off in range(1, n)}
+        assert offsets == Counter((d - s) % n for s, d in TrafficPattern.all_pairs().pairs(spec))
+
+
 class TestRun:
     def test_all_pairs_source_routed_reference(self):
         report = run(make_multiplicative(2, 4), "source_routed", TrafficPattern.all_pairs())
