@@ -16,12 +16,12 @@ most that rung, so ``generatrices[bisect_left(ladder, distance)]`` is the
 closest generatrix with ties to the smaller one.  ``next_hop``,
 ``greedy_path`` and ``_hop_counter`` (the distance walk of ``stretch_report``
 and of a one-packet ``run``) choose through it per hop.  ``_hop_tally``, the
-walk of a batch ``run``, reads the same rule from a per-spec next-distance
-list, ``nxt[dd] = |dd - g(dd)|`` for dd in 0..n // 2, filled from the ladder
-one rung segment at a time and refused at build if some step does not
-shrink: one index per hop, and one tally slot per packet.  Above
-NEXT_DISTANCE_NODE_LIMIT nodes, and for a one-packet run, it counts
-``_hop_counter``'s walks instead, so no list is built.
+walk of a batch ``run``, reads the same rule from a per-spec list by offset,
+``nxt[off] = |dd - g(dd)|`` at off's distance dd, filled one rung segment at
+a time for dd in 0..n // 2, refused at build if a step does not shrink, and
+mirrored past n // 2: one index per hop from the offset itself, one tally
+slot per packet.  Above NEXT_DISTANCE_NODE_LIMIT nodes, and for a one-packet
+run, it counts ``_hop_counter``'s walks instead, so no list is built.
 
 Greedy walks are shortest, and balanced base-s digits reach any offset in at
 most k * (s // 2) hops, which passes GREEDY_HOP_LIMIT only on rings above
@@ -43,8 +43,8 @@ from .topology import CirculantSpec, _check_node, _guard
 
 STRETCH_NODE_LIMIT = 10_000
 
-# Largest spec that walks a next-distance list: n // 2 + 1 entries, 1.2 MiB
-# at 2**16 nodes, and at most 8 lists are cached.
+# Largest spec that walks a next-distance list: n entries, 1.49 MiB held at
+# 2**16 nodes (2.24 MiB at build), and at most 8 lists are cached.
 NEXT_DISTANCE_NODE_LIMIT = 2**16
 
 # Longest greedy walk taken: at this length greedy_path's node list peaks at
@@ -152,14 +152,15 @@ def greedy_path(spec: CirculantSpec, src: int, dst: int) -> list[int]:
 
 @lru_cache(maxsize=8)
 def _next_distances(n: int, gens: tuple[int, ...], ladder: tuple[int, ...]) -> list[int]:
-    """``|dd - gens[bisect_left(ladder, dd)]|`` for every distance dd in 0..n // 2.
+    """``|dd - gens[bisect_left(ladder, dd)]|`` at each offset's cyclic distance dd.
 
-    Rung j's segment is the distances that bisect to g_j, from the end of
-    the list so far up to the rung.  Inside it the next distance runs down
-    as ``g_j - dd`` below g_j and up as ``dd - g_j`` from g_j, so one build
-    is at most 2k slices of one pool of values, and entries share their int
-    objects.  The key is the ladder, not the spec, so a list always follows
-    the ladder it was filled from.
+    Offsets 0..n // 2 are their own distances, and the rest mirror them in
+    one more slice.  Rung j's segment is the distances that bisect to g_j,
+    from the end of the list so far up to the rung.  Inside it the next
+    distance runs down as ``g_j - dd`` below g_j and up as ``dd - g_j`` from
+    g_j, so one build is at most 2k + 1 slices of one pool of values, and
+    entries share their int objects.  The key is the ladder, not the spec,
+    so a list always follows the ladder it was filled from.
 
     A list where some ``nxt[dd] >= dd`` for dd >= 1 raises RoutingError and
     is never cached, so a walk on a cached list ends within dd hops.  Inside
@@ -181,7 +182,7 @@ def _next_distances(n: int, gens: tuple[int, ...], ladder: tuple[int, ...]) -> l
     for dd in {1, *(rung + 1 for rung in ladder)}:
         if 1 <= dd <= half and nxt[dd] >= dd:
             raise RoutingError(f"greedy step from distance {dd} goes to {nxt[dd]}, not closer")
-    return nxt
+    return nxt + nxt[n - half - 1 : 0 : -1]
 
 
 def _hop_counter(spec: CirculantSpec):
@@ -217,26 +218,26 @@ def _hop_counter(spec: CirculantSpec):
 def _hop_tally(spec: CirculantSpec, offsets, batch: bool = True) -> dict[int, int]:
     """Walk each offset's greedy distance from node 0; map each hop count to its packets.
 
-    A batch on up to NEXT_DISTANCE_NODE_LIMIT nodes walks the spec's checked
-    next-distance list into k * (s // 2) + 1 slots, and a longer walk raises
-    RoutingError (greedy walks are shortest); else it counts ``_hop_counter``.
+    A batch up to NEXT_DISTANCE_NODE_LIMIT nodes walks the spec's checked list
+    from each offset into k * (s // 2) + 1 slots; a walk past the last raises
+    RoutingError (greedy walks are shortest).  Else it counts ``_hop_counter``.
     """
     n = spec.n
     if not batch or n > NEXT_DISTANCE_NODE_LIMIT:
         return Counter(map(_hop_counter(spec), offsets))
     nxt = _next_distances(n, spec.generatrices, _ladder(spec))
-    half = n // 2
     bound = spec.k * (spec.s // 2)
     counts = [0] * (bound + 1)
     for off in offsets:
-        d = off if off <= half else n - off
+        d = off
         hops = 0
         while d:
             d = nxt[d]
             hops += 1
-        if hops > bound:
-            raise RoutingError(f"greedy walk from 0 to {off} exceeded {bound} hops")
-        counts[hops] += 1
+        try:
+            counts[hops] += 1
+        except IndexError:
+            raise RoutingError(f"greedy walk from 0 to {off} exceeded {bound} hops") from None
     return {hops: count for hops, count in enumerate(counts) if count}
 
 

@@ -11,12 +11,12 @@ offset's node-0 walk.  Source routing hands the stream to
 ``static_route._hop_tally``, which walks each packet's admitted path field
 as a router does (traffic yields in-range offsets only, so no node is
 re-checked).  Greedy routing hands it to ``greedy_route._hop_tally``, which
-walks each packet's cyclic distance hop by hop (a batch on the spec's
-next-distance list, one packet by bisecting the ladder) and counts the hops
-without keeping the nodes.  Delivery is checked packet by packet; a packet
-that stops anywhere but its offset aborts the run with a RoutingError rather
-than being dropped silently.  Either mode hands back one mapping from hop
-count to packets, which gives every figure of the report.
+walks each packet hop by hop, a batch from its offset on the spec's
+offset-indexed list and one packet by bisecting the ladder, and counts the
+hops without keeping the nodes.  Delivery is checked packet by packet; a
+packet that stops anywhere but its offset aborts the run with a RoutingError
+rather than being dropped silently.  Either mode hands back one mapping from
+hop count to packets, which gives every figure of the report.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -117,14 +117,13 @@ class TrafficPattern:
         x = (self.seed if self.seed is not None else default_seed) % 2**32
         for _ in range(self.count):
             x = (1664525 * x + 1013904223) & 0xFFFFFFFF
-            src = dst = x % n
-            while dst == src:  # draws dst at least once, and again on a repeat
+            src = x % n
+            while True:  # draws dst at least once, and again while it is src
                 x = (1664525 * x + 1013904223) & 0xFFFFFFFF
-                dst = x % n
-            if offsets:
-                yield (dst - src) % n
-            else:
-                yield src, dst
+                off = (x - src) % n
+                if off:
+                    break
+            yield off if offsets else (src, x % n)
 
 
 @dataclass(frozen=True)

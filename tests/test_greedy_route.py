@@ -250,7 +250,9 @@ class TestNextDistances:
         for spec in specs:
             n, gens, ladder = spec.n, spec.generatrices, greedy_route._ladder(spec)
             nxt = greedy_route._next_distances(n, gens, ladder)
-            assert nxt == [abs(d - gens[bisect_left(ladder, d)]) for d in range(n // 2 + 1)]
+            # offset-indexed: offset off steps from its cyclic distance
+            dds = [min(off, n - off) for off in range(n)]
+            assert nxt == [abs(dd - gens[bisect_left(ladder, dd)]) for dd in dds]
             # so both walks step alike; they count alike on a spread of offsets
             bisect_walk = greedy_route._hop_counter(spec)
             for dst in range(1, n, max(n // 8, 1)):
@@ -269,8 +271,10 @@ class TestNextDistances:
 
     def test_list_follows_a_patched_ladder(self):
         # rungs past n // 2 always pick 1, empty rung segments included: every
-        # step shrinks by one, so the list is accepted
-        assert greedy_route._next_distances(64, (1, 4, 16), (32, 32)) == [1, *range(32)]
+        # step shrinks by one, so the list is accepted; offsets past 32 mirror
+        assert greedy_route._next_distances(64, (1, 4, 16), (32, 32)) == [
+            1, *range(32), *range(30, -1, -1)
+        ]
 
     def test_a_step_that_does_not_shrink_is_refused_and_never_cached(self):
         # the cycling ladder of test_hop_guard_stops_a_cycling_walk: distances
@@ -303,6 +307,7 @@ class TestNextDistances:
         want = []
         for g, top in zip(gens, (*ladder, half)):
             want += [abs(d - g) for d in range(len(want), min(top, half) + 1)]
+        want += want[n - half - 1 : 0 : -1]  # offset n - dd steps as distance dd
         if any(want[d] >= d for d in range(1, half + 1)):
             with pytest.raises(RoutingError):
                 greedy_route._next_distances(n, gens, ladder)
@@ -318,6 +323,23 @@ class TestNextDistances:
         with pytest.raises(RoutingError) as walked:
             run(spec, "greedy", TrafficPattern.all_pairs())
         assert str(walked.value) == "greedy walk from 0 to 7 exceeded 6 hops"
+
+    def test_only_the_tally_slot_is_relabelled(self, monkeypatch):
+        # the patched ladder of the test above: offset 7 is the first walk past
+        # the bound, and it is named; an IndexError from the offsets themselves
+        # is not a walk past the bound and comes through as it was raised
+        spec = make_multiplicative(4, 3)
+        monkeypatch.setattr(greedy_route, "_ladder", lambda spec: (32, 32))
+        with pytest.raises(RoutingError) as walked:
+            greedy_route._hop_tally(spec, [6, 58, 7])
+        assert str(walked.value) == "greedy walk from 0 to 7 exceeded 6 hops"
+
+        def offsets():
+            yield 6
+            raise IndexError("offset stream")
+
+        with pytest.raises(IndexError, match="offset stream"):
+            greedy_route._hop_tally(spec, offsets())
 
     @settings(max_examples=300, deadline=None)
     @given(list_offsets())
