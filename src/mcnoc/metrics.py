@@ -1,28 +1,28 @@
 """Distance metrics and the route core for circulants, and the square-mesh reference formulas.
 
 One breadth-first search, in ascending port-code order with the first-found
-predecessor kept, serves the general circulants.  Circulants are vertex
-transitive, so the tree from node 0, shifted by src, is the tree from src:
-each spec needs one cached tree, which diameter, average distance and every
-source route read.  Pass ``all_pairs=True`` to re-derive the metrics from
-every source.
+predecessor kept, serves the general circulants.  The tree from node 0,
+shifted by src, is the tree from src, so each spec needs one cached tree.
+Pass ``all_pairs=True`` to re-derive the metrics from every source.
 
 MC(s, k) needs no tree.  An offset x is reached by c_j hops along s**j with
 x = sum c_j * s**j (mod s**k), at cost sum |c_j|, and a digit DP over the
 base-s digits of x finds the least cost (``_digit_hops``); summed over every
 x it gives the diameter and the distance total (``_digit_distances``).  The
 route the search records is the least port-code sequence among shortest
-paths, so the DP returns that route too (see README).  Both keep the search's
-node guard.  This module alone chooses between DP and tree: ``_distances``
-for the metrics, ``_route`` for the node-0 route of an offset, as port-code
-runs ``[(code, hops), ...]`` in ascending code order: one per nonzero c_j on
-MC(s, k), the tree path grouped by code on a general circulant.
+paths, so the DP returns that route too (see README), from two tables per
+spec filled one entry per half-offset met (``_halves``).  Both keep the
+search's node guard.  This module alone chooses between DP and tree:
+``_distances`` for the metrics, ``_route`` for the node-0 route of an
+offset, as port-code runs ``[(code, hops), ...]`` in ascending code order:
+one per nonzero c_j on MC(s, k), the tree path grouped by code otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -114,27 +114,31 @@ def _top(s: int, v: int) -> int:
     return c - s if 2 * c >= s else c
 
 
-def _digit_hops(s: int, k: int, x: int) -> list[int]:
+def _digit_hops(s: int, k: int, x: int, start=(0, math.inf), carry=None) -> list[int]:
     """Hop counts c_(k-1)..c_0 of the route the node-0 search records to x on MC(s, k).
 
     Among least-cost vectors it takes the most hops on the first port code:
     the most negative c_(k-1), else the largest, then the same for c_(k-2),
     and so on down.  At a low digit that means a carry in unlike the carry
-    out whenever the costs allow it.
+    out whenever the costs allow it.  For one half of a split offset,
+    ``start`` is the least cost per carry into digit 0, and a given ``carry``
+    out of digit k - 1 makes that a low digit.
     """
     digits = []
     for _ in range(k):
         x, r = divmod(x, s)
         digits.append(r)
-    costs = [(0, math.inf)]  # costs[j]: least cost of digits below j, per carry into j
-    for r in digits[:-1]:
+    costs = [start]  # costs[j]: least cost of digits below j, per carry into j
+    for r in digits if carry is not None else digits[:-1]:
         costs.append(_carries(s, r, costs[-1]))
-    in0, in1 = costs[-1]
-    a, b = _top(s, digits[-1]), _top(s, digits[-1] + 1)
-    ta, tb = in0 + abs(a), in1 + abs(b)
-    carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
-    hops = [b if carry else a]
-    for j in range(k - 2, -1, -1):
+    hops = []
+    if carry is None:
+        a, b = _top(s, digits[-1]), _top(s, digits[-1] + 1)
+        ta, tb = costs[-1][0] + abs(a), costs[-1][1] + abs(b)
+        carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
+        hops.append(b if carry else a)
+        k -= 1
+    for j in range(k - 1, -1, -1):
         r = digits[j]
         t = 1 - carry
         c = r + t - s * carry
@@ -146,17 +150,55 @@ def _digit_hops(s: int, k: int, x: int) -> list[int]:
     return hops
 
 
-def _route(spec: CirculantSpec, offset: int) -> list[tuple[int, int]]:
-    """Runs (code, hops), ascending by code, of the route 0 -> offset the node-0 search records."""
-    codes = neighbor_offsets(spec).index
+@lru_cache(maxsize=8)
+def _halves(spec: CirculantSpec, m: int) -> tuple:
+    """(m, s**m, low table, high table, port codes) of MC(s, k) split at digit m, 1 <= m < k."""
+    code = neighbor_offsets(spec).index
+    ports = [(code(spec.n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices)]
+    return m, spec.s**m, [None] * spec.s**m, [None] * spec.s ** (spec.k - m), ports
+
+
+def _half(spec: CirculantSpec, tables: tuple, high: bool, x: int) -> tuple:
+    """Fill entry x of a table: cost with carry 1 less cost with 0, carry 1 preferred, runs."""
+    s, k, (m, _, _, _, ports) = spec.s, spec.k, tables
+    if high:  # carry 0, then carry 1, into digit m
+        vs = _digit_hops(s, k - m, x), _digit_hops(s, k - m, x, (math.inf, 0))
+        ports = ports[: k - m]
+    else:  # carry 0, then carry 1, out of digit m - 1
+        vs = _digit_hops(s, m, x, carry=0), _digit_hops(s, m, x, carry=1)
+        ports = ports[k - m :]
+    key0, key1 = ([(c < 0, abs(c)) for c in v] for v in vs)
+    runs = (tuple((port[c > 0], abs(c)) for port, c in zip(ports, v) if c) for v in vs)
+    tables[2 + high][x] = entry = (sum(map(abs, vs[1])) - sum(map(abs, vs[0])), key1 > key0, *runs)
+    return entry
+
+
+def _route(spec: CirculantSpec, offset: int, m: int | None = None) -> Sequence[tuple[int, int]]:
+    """Runs (code, hops), ascending by code, of the route 0 -> offset the node-0 search records.
+
+    On MC(s, k), k >= 2, they come from the tables split at digit m (default
+    k // 2).  The carry into digit m is the only DP state that crosses the
+    split, and the tie rule reads the high digits first, so the route is the
+    high runs for the carry whose two costs sum least (on a tie, the one the
+    rule prefers; the two high vectors differ at digit m), then the low runs
+    for that carry.
+    """
     if not spec.is_multiplicative:
+        codes = neighbor_offsets(spec).index
         path = _tree_path(_tree(spec).pred, offset)
         steps = [codes((v - u) % spec.n) + 1 for u, v in zip(path, path[1:])]
         return [(code, len(list(run))) for code, run in groupby(steps)]
     _check_size(spec)
-    # ascending port codes: largest generatrix first, minus before plus
-    hops = zip(reversed(spec.generatrices), _digit_hops(spec.s, spec.k, offset))
-    return [(codes(g if c > 0 else spec.n - g) + 1, abs(c)) for g, c in hops if c]
+    if spec.k == 1:  # a ring: codes 1 and 2 step -1 and +1
+        c = _top(spec.n, offset)
+        return [(1 + (c > 0), abs(c))] if c else []
+    tables = _halves(spec, spec.k // 2 if m is None else m)
+    high, low = divmod(offset, tables[1])
+    lo = tables[2][low] or _half(spec, tables, False, low)
+    hi = tables[3][high] or _half(spec, tables, True, high)
+    d = lo[0] + hi[0]  # the carry across the split: the least cost, then the rule's choice
+    carry = d < 0 or (d == 0 and hi[1])
+    return hi[2 + carry] + lo[2 + carry]
 
 
 class _Sums(NamedTuple):

@@ -3,18 +3,11 @@
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  A circulant is
-vertex transitive, so the walk from src to dst is the walk from node 0 to
-the offset (dst - src) mod n, shifted by src: ``run`` reads the traffic as a
-stream of offsets (``TrafficPattern._offsets``: the offsets of ``pairs``,
-all-pairs traffic as n copies of 1..n-1) and walks every packet as its
-offset's node-0 walk.  Source routing hands the stream to
-``static_route._hop_tally``, which walks each packet's admitted path field
-as a router does (traffic yields in-range offsets only, so no node is
-re-checked).  Greedy routing hands it to ``greedy_route._hop_tally``, which
-walks each packet hop by hop, a batch from its offset on the spec's
-offset-indexed list and one packet by bisecting the ladder, and counts the
-hops without keeping the nodes.  Delivery is checked packet by packet; a
-packet that stops anywhere but its offset aborts the run with a RoutingError
+vertex transitive, so ``run`` reads the traffic as a stream of offsets
+(dst - src) mod n (``TrafficPattern._offsets``) and walks every packet hop
+by hop as its offset's node-0 walk, in ``static_route._hop_tally`` or
+``greedy_route._hop_tally``.  Delivery is checked packet by packet; a packet
+that stops anywhere but its offset aborts the run with a RoutingError
 rather than being dropped silently.  Either mode hands back one mapping from
 hop count to packets, which gives every figure of the report.
 
@@ -144,20 +137,9 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
 
     ``seed`` feeds random traffic only when the pattern does not carry its
     own seed.  All-pairs traffic is n(n-1) packets, so it is refused above
-    ALL_PAIRS_NODE_LIMIT nodes.  The slowest spec admitted is the ring
-    MC(256,1), 65280 packets of up to 128 hops: about 0.38 s source routed
-    and 0.1 s greedy on one Xeon core under CPython 3.11; MC(2,8), MC(4,4)
-    and MC(16,2) take at most 0.05 s.  Random traffic is not guarded: its
-    cost is linear in a count the caller chose.
-
-    Every packet is walked as its offset's node-0 walk, and the run reads
-    only the pattern's offset stream, never its pairs.  Source routed, the
-    run makes one call to ``static_route._hop_tally``, which reads the
-    spec's offset -> path-field memo, admits each missing offset once per
-    spec (every code checked), walks every packet from node 0 with a bare
-    decode, checking that it stops at its offset, and maps each hop count
-    to its packets.  Greedy, it makes one call to
-    ``greedy_route._hop_tally``, which returns the same mapping.
+    ALL_PAIRS_NODE_LIMIT nodes; random traffic costs a count the caller chose.
+    The run reads only the pattern's offset stream.  Every packet is forwarded
+    hop by hop and its delivery checked; a batch may build a per-spec list.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -165,10 +147,8 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     if traffic.kind == "all_pairs":
         _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
     offsets = traffic._offsets(spec, default_seed=seed)
-    if mode == "source_routed":
-        histogram = static_route._hop_tally(spec, offsets)
-    else:
-        histogram = greedy_route._hop_tally(spec, offsets, traffic.kind != "single")
+    tally = static_route._hop_tally if mode == "source_routed" else greedy_route._hop_tally
+    histogram = tally(spec, offsets, traffic.kind != "single")
     injected = sum(histogram.values())
     total_hops = sum(hops * count for hops, count in histogram.items())
     max_hops = max(histogram, default=0)

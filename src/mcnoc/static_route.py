@@ -6,21 +6,12 @@ packs the codes into one integer bit field.  Each code occupies a fixed
 router only ever extracts the low bits, looks up the port, and shifts the
 rest of the field right.  An all-zero field means the packet has arrived:
 code 0 is the reserved terminator and never names a port.  The slot width
-and both lookups (code -> action, hop offset -> action) come from the spec's
-one cached port table (see ``topology``), so framing never needs a search.
+and both lookups come from the spec's one cached port table (see
+``topology``), so framing never needs a search.
 
 Every route is the node-0 route to the offset (dst - src) mod n, shifted by
-the source: the route a breadth-first search from node 0 records (FIFO,
-ascending port codes, first-found predecessor), the least port-code sequence
-among the shortest paths.  ``metrics._route`` hands it out per offset as runs
-``[(code, hops), ...]`` in ascending code order, from the digit DP on
-MC(s, k) or the one cached BFS tree.  ``shortest_path`` expands the runs into
-nodes; ``_field`` packs them into a path field, one shift-or per run.  Each
-spec keeps one memo from offset to path field (``_routes``, at most
-OFFSET_CACHE_SIZE fields and 64 KiB), which admits a field once after
-checking every code.  ``build_packet`` frames it per pair and a source-routed
-``simulator.run`` walks it from node 0 for every packet.  ``path_to_actions``
-and ``encode_path`` encode a caller's own route.
+the source.  ``_field``, the one packer, packs and checks an offset's field
+from ``metrics._route``'s runs; only a batch run keeps fields (``_field_list``).
 """
 
 from __future__ import annotations
@@ -167,7 +158,10 @@ def consume_step(
     )
 
 
-OFFSET_CACHE_SIZE = 8192
+# Largest spec whose batch runs walk a field list: n fields of at most
+# diameter * bits_per_hop bits, so a list holds at most 0.3 MiB (see README).
+FIELD_LIST_NODE_LIMIT = 2**12
+FIELD_LIST_BITS = 2**20
 
 
 class _Routes(NamedTuple):
@@ -179,38 +173,27 @@ class _Routes(NamedTuple):
     bits: int
     mask: int
     capacity: int  # the diameter: the longest route, and the tally's last slot
-    fields: dict  # offset -> admitted path field, at most limit of them
-    limit: int  # fields the memo keeps: at most 64 * OFFSET_CACHE_SIZE bits, at least 1
 
 
 @lru_cache(maxsize=8)
 def _routes(spec: CirculantSpec) -> _Routes:
     offsets = port_table(spec).offsets
     b = bits_per_hop(spec)
-    capacity = diameter(spec)
-    limit = max(OFFSET_CACHE_SIZE * 64 // max(capacity * b, 64), 1)  # widest field: capacity * b
-    return _Routes(spec.n, offsets, (None, *offsets), b, (1 << b) - 1, capacity, {}, limit)
+    return _Routes(spec.n, offsets, (None, *offsets), b, (1 << b) - 1, diameter(spec))
 
 
 def _field(spec: CirculantSpec, off: int) -> int:
-    """The path field of offset off, from the spec's memo or checked in full first.
+    """The path field of offset off, packed from ``metrics._route``'s runs, and checked.
 
-    A field missing from the memo is packed from the runs of
-    ``metrics._route``, one shift-or per run.  Its hop count must fit the
-    capacity (ValueError), it may hold no code past its hop slots and every
-    code up to the terminator must name a port (CorruptPacketError).  A
-    field that passes and leads from 0 to off enters the memo while it holds
-    fewer than the spec's limit of fields.  A refused field never does, and
-    one that leads elsewhere is returned unstored, so its packet fails
-    ``_hop_tally``'s delivery check: a bad encoding cannot reach a later
-    call.
+    The hop count must fit the capacity (ValueError), no code may lie past
+    the hop slots and every run's code must name a port (CorruptPacketError),
+    so each code fits its slot and the field decodes to exactly these runs,
+    and the runs must lead from 0 to off (RoutingError).  Nothing is kept.
     """
-    n, offsets, _, b, mask, capacity, fields, limit = _routes(spec)
-    field = fields.get(off)
-    if field is not None:
-        return field
+    n, offsets, _, b, mask, capacity = _routes(spec)
+    runs = _route(spec, off)
     field = encoded = 0
-    for code, hops in _route(spec, off):  # a run fills hops slots: code * (1 + 2**b + ...)
+    for code, hops in runs:  # a run fills hops slots: code * (1 + 2**b + ...)
         field |= code * ((1 << b * hops) - 1) // mask << b * encoded
         encoded += hops
     if encoded > capacity:
@@ -218,13 +201,27 @@ def _field(spec: CirculantSpec, off: int) -> int:
     if field >> (encoded * b):
         raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
     end = 0
-    rest = field
-    while rest:
-        end = (end + _by_code(offsets, rest & mask)) % n
-        rest >>= b
-    if end == off and len(fields) < limit:
-        fields[off] = field
+    for code, hops in runs:
+        end += hops * _by_code(offsets, code)
+    if end % n != off:
+        raise RoutingError(f"packet for {off} stopped at {end % n}")
     return field
+
+
+@lru_cache(maxsize=8)
+def _field_list(spec: CirculantSpec) -> list[int]:
+    """Every offset's path field by offset; a refused field raises, so it is never cached."""
+    return [_field(spec, off) for off in range(spec.n)]
+
+
+class _Packed(dict):
+    """Reads like a field list, but packs a field per read and keeps none."""
+
+    def __init__(self, spec: CirculantSpec):
+        self.spec = spec
+
+    def __missing__(self, off: int) -> int:
+        return _field(self.spec, off)
 
 
 def build_packet(
@@ -234,7 +231,7 @@ def build_packet(
     field = _field(spec, _offset(spec, src, dst))
     routes = _routes(spec)
     b = routes.bits
-    hops = -(-field.bit_length() // b)  # admission left no 0 slot under the top code
+    hops = -(-field.bit_length() // b)  # _field left no 0 slot under the top code
     if hop_capacity is None:
         hop_capacity = routes.capacity
     _check_int("hop capacity", hop_capacity)
@@ -243,22 +240,19 @@ def build_packet(
     return SourceRoutedPacket(dst, field, b, hops, hop_capacity)
 
 
-def _hop_tally(spec: CirculantSpec, offsets) -> dict[int, int]:
-    """Forward a packet on each offset's field from node 0; map each hop count to its packets.
+def _hop_tally(spec: CirculantSpec, offsets, batch: bool = True) -> dict[int, int]:
+    """Walk each offset's path field from node 0; map each hop count to its packets.
 
-    Every route is the node-0 route shifted by its source, so the walk from
-    0 to the offset stands for the packet.  A memo hit is one dict lookup
-    and each hop a bare decode (mask, step, add, shift): ``_field`` checked
-    every code.  The node is reduced mod n once, at the delivery check; a
-    packet that stops anywhere but its offset raises RoutingError naming
-    the reduced node.
+    A batch within FIELD_LIST_NODE_LIMIT nodes and FIELD_LIST_BITS field bits
+    reads the spec's checked field list, any other run packs each field.  A
+    packet that stops anywhere but its offset raises RoutingError.
     """
-    n, _, steps, b, mask, capacity, fields, _ = _routes(spec)
+    n, _, steps, b, mask, capacity = _routes(spec)
+    listed = batch and n <= FIELD_LIST_NODE_LIMIT and n * capacity * b <= FIELD_LIST_BITS
+    fields = _field_list(spec) if listed else _Packed(spec)
     counts = [0] * (capacity + 1)
     for off in offsets:
-        field = fields.get(off)
-        if field is None:
-            field = _field(spec, off)
+        field = fields[off]
         node = 0
         hops = 0
         while field:

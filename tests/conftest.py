@@ -10,7 +10,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from mcnoc import CirculantSpec, static_route
+from mcnoc import CirculantSpec, metrics, static_route
 
 
 def nx_circulant(spec: CirculantSpec) -> nx.Graph:
@@ -20,8 +20,11 @@ def nx_circulant(spec: CirculantSpec) -> nx.Graph:
 @pytest.fixture
 def encodes(monkeypatch):
     """Offsets whose runs ``static_route`` asks the route core for, counted,
-    starting from no memo: one per path-field miss and one per ``shortest_path``."""
+    starting from no cached field list or route tables: one per field packed
+    and one per ``shortest_path``."""
     static_route._routes.cache_clear()
+    static_route._field_list.cache_clear()
+    metrics._halves.cache_clear()
     calls = Counter()
     route = static_route._route
 

@@ -333,6 +333,20 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, added):
     assert package_modules_loaded_by(*argv) == CLI_IMPORT | {f"mcnoc.{m}" for m in added}
 
 
+def test_a_one_pair_simulate_builds_no_field_list():
+    # the one-shot CLI packs its one field; a list would cost n fields
+    script = (
+        "import mcnoc.cli\n"
+        "from mcnoc import static_route\n"
+        "code = mcnoc.cli.main(['simulate', '--s', '2', '--k', '14', '--algo', 'bfs',"
+        " '--traffic', 'pair:9:12345'])\n"
+        "print(code, static_route._field_list.cache_info().currsize)\n"
+    )
+    proc = child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0"
+
+
 def test_cli_import_leaves_numpy_out():
     # only bfs_distances needs numpy, and no subcommand calls it
     assert loaded_by_cli_import("numpy") == "False\n"

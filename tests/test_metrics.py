@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,81 @@ class TestMemory:
     def test_rejects_general_circulants(self):
         with pytest.raises(ValueError):
             memory_bits(make_circulant(12, [1, 3]))
+
+
+# The full digit DP as it was before the route tables split it: the oracle
+# for every split of the tables below.
+
+
+def _old_carries(s, r, cost):
+    in0, in1 = cost
+    return min(in0 + r, in1 + r + 1), min(in0 + s - r, in1 + s - r - 1)
+
+
+def _old_top(s, v):
+    c = v % s
+    return c - s if 2 * c >= s else c
+
+
+def _old_digit_hops(s, k, x):
+    digits = []
+    for _ in range(k):
+        x, r = divmod(x, s)
+        digits.append(r)
+    costs = [(0, math.inf)]
+    for r in digits[:-1]:
+        costs.append(_old_carries(s, r, costs[-1]))
+    in0, in1 = costs[-1]
+    a, b = _old_top(s, digits[-1]), _old_top(s, digits[-1] + 1)
+    ta, tb = in0 + abs(a), in1 + abs(b)
+    carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
+    hops = [b if carry else a]
+    for j in range(k - 2, -1, -1):
+        r = digits[j]
+        t = 1 - carry
+        c = r + t - s * carry
+        if costs[j][t] + abs(c) != costs[j + 1][carry]:
+            t = carry
+            c = r + t - s * carry
+        hops.append(c)
+        carry = t
+    return hops
+
+
+def split_specs(k):
+    """MC(s, k) with n <= 70 000: every s for k >= 3, and s <= 32 for k = 2 (115 specs)."""
+    return [(s, k) for s in range(2, 33 if k == 2 else 42) if s**k <= 70_000]
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_split_tables_route_as_the_full_dp_at_every_split(k):
+    # every offset, every split 1 <= m < k: the runs the tables hand out are
+    # the old DP's hop vector as runs, largest generatrix first, minus first
+    for s, k in split_specs(k):
+        spec = make_multiplicative(s, k)
+        n = spec.n
+        code = metrics.neighbor_offsets(spec).index
+        ports = [(code(n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices)]
+        want = [
+            tuple((port[c > 0], abs(c)) for port, c in zip(ports, _old_digit_hops(s, k, x)) if c)
+            for x in range(n)
+        ]
+        for m in range(1, k):
+            assert [metrics._route(spec, x, m) for x in range(n)] == want, (s, k, m)
+        metrics._halves.cache_clear()
+
+
+def test_split_specs_are_the_115():
+    assert sum(len(split_specs(k)) for k in range(2, 17)) == 115
+
+
+def test_routes_read_the_tables_split_at_half_the_digits():
+    for s, k in [(2, 2), (3, 5), (4, 8), (2, 17)]:
+        spec = make_multiplicative(s, k)
+        metrics._halves.cache_clear()
+        x = spec.n // 3
+        assert metrics._route(spec, x) == metrics._route(spec, x, k // 2)
+        assert metrics._halves.cache_info().currsize == 1
+        m, unit, low, high, _ = metrics._halves(spec, k // 2)
+        assert (m, unit, len(low), len(high)) == (k // 2, s**m, s**m, s ** (k - m))
+        assert sum(entry is not None for entry in low + high) == 2

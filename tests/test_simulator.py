@@ -44,9 +44,14 @@ def mc_specs(draw):
 
 
 @pytest.fixture
-def cold_memo():
-    """A fresh per-spec field memo, so a run admits every offset it meets anew."""
-    static_route._routes.cache_clear()
+def cold_lists():
+    """No cached field list, so a batch run builds its spec's list anew."""
+    static_route._field_list.cache_clear()
+
+
+def listed():
+    """How many field lists are cached."""
+    return static_route._field_list.cache_info().currsize
 
 
 def slot_runs(field, hops):
@@ -264,7 +269,7 @@ class TestRun:
             (0b111_001, 2, 7),  # one good hop, then an unused code
         ],
     )
-    def test_corrupt_field_aborts_the_run(self, cold_memo, monkeypatch, field, hops, code):
+    def test_corrupt_field_aborts_the_run(self, cold_lists, monkeypatch, field, hops, code):
         spec = make_multiplicative(2, 3)
         packet = SourceRoutedPacket(None, field, 3, hops, 3)
         with pytest.raises(CorruptPacketError) as stepped:
@@ -277,7 +282,7 @@ class TestRun:
             run(spec, "source_routed", TrafficPattern.single(0, 1))
         assert str(walked.value) == str(stepped.value)
 
-    def test_field_past_its_hop_slots_aborts_the_run(self, cold_memo, monkeypatch):
+    def test_field_past_its_hop_slots_aborts_the_run(self, cold_lists, monkeypatch):
         # MC(2,3) codes +2, -2, +1 as 3, 2, 5: three hops that do reach 1, as
         # one run whose code is wider than its 3-bit slot
         spec = make_multiplicative(2, 3)
@@ -289,39 +294,41 @@ class TestRun:
     def test_run_routes_each_offset_once(self, encodes):
         spec = make_multiplicative(4, 3)
         run(spec, "source_routed", TrafficPattern.all_pairs())
-        assert encodes == Counter(range(1, spec.n))
-        # the memo outlives the run: a second one admits nothing
+        # the batch builds the spec's list: one field per offset, 0 included
+        assert encodes == Counter(range(spec.n))
+        # the list outlives the run: a second one packs nothing
         encodes.clear()
+        run(spec, "source_routed", TrafficPattern.random_pairs(500, seed=3))
         run(spec, "source_routed", TrafficPattern.all_pairs())
-        assert encodes == Counter()
-        # and build_packet reads the same memo
-        for src, dst in TrafficPattern.all_pairs().pairs(spec):
-            build_packet(spec, src, dst)
-        assert encodes == Counter()
+        assert encodes == Counter() and listed() == 1
 
-    def test_a_build_packet_sweep_leaves_a_run_nothing_to_admit(self, encodes):
+    def test_a_build_packet_sweep_builds_no_list(self, encodes):
+        # build_packet packs its pair's field on every call and keeps nothing
         spec = make_multiplicative(4, 3)
         for src, dst in TrafficPattern.all_pairs().pairs(spec):
             build_packet(spec, src, dst)
-        assert encodes == Counter(range(1, spec.n))
+        assert encodes == Counter({off: spec.n for off in range(1, spec.n)})
+        assert listed() == 0
         encodes.clear()
         run(spec, "source_routed", TrafficPattern.all_pairs())
-        assert encodes == Counter()
+        assert encodes == Counter(range(spec.n)) and listed() == 1
 
-    def test_offsets_past_the_memo_cap_fall_through_to_the_encoder(self, encodes):
+    def test_a_batch_past_the_node_bound_packs_every_packet(self, encodes):
         # n = 19683 is odd: where 8 divides n, the LCG's pairs meet only n / 8 offsets
         spec = make_multiplicative(3, 9)
+        assert spec.n > static_route.FIELD_LIST_NODE_LIMIT
         traffic = TrafficPattern.random_pairs(20000, seed=5)
         pairs = list(traffic.pairs(spec))
-        offsets = [(dst - src) % spec.n for src, dst in pairs]
-        distinct = list(dict.fromkeys(offsets))
-        assert len(distinct) > static_route.OFFSET_CACHE_SIZE
-        # the run keeps the first OFFSET_CACHE_SIZE offsets it meets; any other asks again
-        kept = set(distinct[: static_route.OFFSET_CACHE_SIZE])
+        offsets = Counter((dst - src) % spec.n for src, dst in pairs)
+        assert len(offsets) > 8192  # more offsets than the old memo's cap
         report = run(spec, "source_routed", traffic)
-        assert sum(encodes.values()) == len(kept) + sum(off not in kept for off in offsets)
+        # one field packed per packet, none kept: a second run packs them all again
+        assert encodes == offsets and listed() == 0
         tally = Counter(len(shortest_path(spec, src, dst)) - 1 for src, dst in pairs)
         assert_report_is_the_tally(report, tally)
+        encodes.clear()
+        assert run(spec, "source_routed", traffic) == report
+        assert encodes == offsets and listed() == 0
 
     @pytest.mark.parametrize(
         "packet, error, message",
@@ -341,28 +348,39 @@ class TestRun:
         ],
     )
     def test_a_refused_field_never_reaches_a_later_run(
-        self, cold_memo, monkeypatch, packet, error, message
+        self, cold_lists, monkeypatch, packet, error, message
     ):
         spec = make_multiplicative(2, 3)
         traffic = TrafficPattern.single(0, 1)
         runs = slot_runs(packet.path_field, packet.hops_encoded)
+        route = static_route._route
         with monkeypatch.context() as patch:
-            patch.setattr(static_route, "_route", lambda spec, offset: runs)
-            with pytest.raises(error) as refused:
-                run(spec, "source_routed", traffic)
-            assert str(refused.value) == message
-            # build_packet reads the same memo and admits the field anew
-            if error is RoutingError:
-                # it walks nothing, so it frames the unstored field as it is
-                assert build_packet(spec, 0, 1).path_field == packet.path_field
-            else:
-                with pytest.raises(error) as built:
-                    build_packet(spec, 0, 1)
-                assert str(built.value) == message
-        assert 1 not in static_route._routes(spec).fields
+            patch.setattr(
+                static_route, "_route", lambda spec, off: runs if off == 1 else route(spec, off)
+            )
+            # one packet packs its own field; a batch builds the list, whose
+            # build refuses it at offset 1; build_packet packs it once more
+            for pattern in (traffic, TrafficPattern.all_pairs()):
+                with pytest.raises(error) as refused:
+                    run(spec, "source_routed", pattern)
+                assert str(refused.value) == message
+            with pytest.raises(error) as built:
+                build_packet(spec, 0, 1)
+            assert str(built.value) == message
+        assert listed() == 0
         for pattern in (traffic, TrafficPattern.all_pairs()):
             tally = Counter(len(shortest_path(spec, a, b)) - 1 for a, b in pattern.pairs(spec))
             assert_report_is_the_tally(run(spec, "source_routed", pattern), tally)
+
+    def test_a_walk_checks_every_delivery_on_a_listed_field(self, cold_lists, monkeypatch):
+        # a list that the packer never built (offset 1 holds offset 2's field):
+        # the walk itself stops the packet
+        spec = make_multiplicative(2, 3)
+        fields = [static_route._field(spec, off) for off in range(spec.n)]
+        fields[1] = fields[2]
+        monkeypatch.setattr(static_route, "_field_list", lambda spec: fields)
+        with pytest.raises(RoutingError, match="^packet for 1 stopped at 2$"):
+            run(spec, "source_routed", TrafficPattern.all_pairs())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -378,7 +396,7 @@ class TestRun:
     @example(make_circulant(16, [1, 8]), TrafficPattern.all_pairs())
     @example(make_circulant(20, [3, 10]), TrafficPattern.all_pairs())
     def test_a_warm_run_equals_a_cold_one(self, spec, traffic):
-        static_route._routes.cache_clear()
+        static_route._field_list.cache_clear()
         cold = run(spec, "source_routed", traffic)
         warm = run(spec, "source_routed", traffic)
         assert warm == cold
@@ -387,36 +405,63 @@ class TestRun:
 
     def test_the_router_keeps_the_last_8_specs(self):
         assert static_route._routes.cache_info().maxsize == 8
+        assert static_route._field_list.cache_info().maxsize == 8
+        assert metrics._halves.cache_info().maxsize == 8
 
-    def test_the_memo_holds_at_most_the_cache_size(self, cold_memo):
-        spec = make_multiplicative(3, 9)
-        run(spec, "source_routed", TrafficPattern.random_pairs(20000, seed=5))
-        assert len(static_route._routes(spec).fields) == static_route.OFFSET_CACHE_SIZE
+    def test_the_list_holds_each_offsets_checked_field(self, cold_lists):
+        # MC(2,12) is at the node bound; every field is the one build_packet packs
+        spec = make_multiplicative(2, 12)
+        assert spec.n == static_route.FIELD_LIST_NODE_LIMIT
+        run(spec, "source_routed", TrafficPattern.random_pairs(2, seed=5))
+        fields = static_route._field_list(spec)
+        assert listed() == 1
+        assert fields == [build_packet(spec, 0, off).path_field for off in range(spec.n)]
 
     @pytest.mark.parametrize(
-        "sk, limit",
+        "sk, lists",
         [
-            ((2, 4), 8192),  # 2 hops of 4 bits
-            ((3, 9), 8192),  # 9 hops of 5 bits
-            ((256, 1), 2048),  # 128 hops of 2 bits: 8192 * 64 // 256
-            ((801, 1), 655),  # 400 hops of 2 bits: 8192 * 64 // 800
+            ((2, 4), True),  # 16 fields of 2 hops of 4 bits
+            ((2, 12), True),  # 4096 nodes: the node bound
+            ((3, 8), False),  # 6561 nodes
+            ((256, 1), True),  # 256 fields of 128 hops of 2 bits: 2**16 bits
+            ((801, 1), True),  # 801 * 400 * 2 = 640 800 bits
+            ((1024, 1), True),  # 1024 * 512 * 2 bits: the bit bound
+            ((1025, 1), False),  # 1025 * 512 * 2 bits
         ],
     )
-    def test_the_memo_keeps_at_most_64_kib_of_fields(self, sk, limit):
-        routes = static_route._routes(make_multiplicative(*sk))
-        assert routes.limit == limit
-        assert limit * max(routes.capacity * routes.bits, 64) <= 64 * static_route.OFFSET_CACHE_SIZE
+    def test_a_list_is_built_only_within_the_node_and_bit_bounds(self, cold_lists, sk, lists):
+        spec = make_multiplicative(*sk)
+        routes = static_route._routes(spec)
+        within = (
+            spec.n <= static_route.FIELD_LIST_NODE_LIMIT
+            and spec.n * routes.capacity * routes.bits <= static_route.FIELD_LIST_BITS
+        )
+        assert within == lists
+        run(spec, "source_routed", TrafficPattern.random_pairs(2, seed=5))
+        assert listed() == lists
 
-    def test_a_run_past_the_bit_bound_keeps_the_limit_and_tallies_every_packet(self, cold_memo):
-        # n = 801 is odd, so the LCG's pairs meet offsets of every residue
-        spec = make_multiplicative(801, 1)
+    def test_a_run_past_the_bit_bound_packs_and_tallies_every_packet(self, encodes):
+        # n = 1025 is odd, so the LCG's pairs meet offsets of every residue
+        spec = make_multiplicative(1025, 1)
         traffic = TrafficPattern.random_pairs(2000, seed=5)
         pairs = list(traffic.pairs(spec))
-        assert len({(dst - src) % spec.n for src, dst in pairs}) == 736
+        offsets = Counter((dst - src) % spec.n for src, dst in pairs)
+        assert len(offsets) == 882
         report = run(spec, "source_routed", traffic)
-        assert len(static_route._routes(spec).fields) == 655
+        assert encodes == offsets and listed() == 0
         tally = Counter(len(shortest_path(spec, src, dst)) - 1 for src, dst in pairs)
         assert_report_is_the_tally(report, tally)
+
+    @pytest.mark.parametrize("sk", [(2, 16), (2, 20)])
+    def test_one_shot_calls_build_no_list(self, cold_lists, sk):
+        # a single pair packs one field: no call for one packet pays an n-field build
+        spec = make_multiplicative(*sk)
+        src, dst = 5, spec.n // 3
+        report = run(spec, "source_routed", TrafficPattern.single(src, dst))
+        packet = build_packet(spec, src, dst)
+        path = shortest_path(spec, src, dst)
+        assert report.hop_histogram == {packet.hops_encoded: 1} == {len(path) - 1: 1}
+        assert listed() == 0
 
     def test_greedy_needs_multiplicative(self):
         spec = make_circulant(12, [1, 3])

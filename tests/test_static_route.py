@@ -468,13 +468,14 @@ class TestPacketCache:
         for src in range(spec.n):
             for dst in range(spec.n):
                 hops = reference_packet(spec, src, dst).hops_encoded
-                # twice per pair: the first offset visit misses, every later call hits
+                # each call packs its own field: none is kept between calls
                 for cap in (None, None, d + 2, hops, hops):
                     assert build_packet(spec, src, dst, cap) == reference_packet(
                         spec, src, dst, cap
                     )
-        # one encode per offset; the other 5 * n**2 - n calls read the memo
-        assert encodes == Counter(range(spec.n))
+        # one pack per call, n pairs per offset, and no field list
+        assert encodes == Counter({off: 5 * spec.n for off in range(spec.n)})
+        assert static_route._field_list.cache_info().currsize == 0
 
     @settings(max_examples=150, deadline=None)
     @given(circulants(), st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 3))
