@@ -10,19 +10,16 @@ x = sum c_j * s**j (mod s**k), at cost sum |c_j|, and a digit DP over the
 base-s digits of x finds the least cost (``_digit_hops``); summed over every
 x it gives the diameter and the distance total (``_digit_distances``).  The
 route the search records is the least port-code sequence among shortest
-paths, so the DP returns that route too (see README), from two tables per
-spec filled one entry per half-offset met (``_halves``).  Both keep the
-search's node guard.  This module alone chooses between DP and tree:
-``_distances`` for the metrics, ``_route`` for the node-0 route of an
-offset, as port-code runs ``[(code, hops), ...]`` in ascending code order:
-one per nonzero c_j on MC(s, k), the tree path grouped by code otherwise.
+paths, which the DP also returns (see README), here per half of the digits
+(``_halves``).  Both keep the search's node guard.  ``_distances`` and
+``_route`` choose between DP and tree; a route is port-code runs
+``[(code, hops), ...]`` in ascending code order.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -114,21 +111,19 @@ def _top(s: int, v: int) -> int:
     return c - s if 2 * c >= s else c
 
 
-def _digit_hops(s: int, k: int, x: int, start=(0, math.inf), carry=None) -> list[int]:
-    """Hop counts c_(k-1)..c_0 of the route the node-0 search records to x on MC(s, k).
+def _digit_hops(s: int, k: int, x: int, carry=None) -> tuple:
+    """(cost, hop counts c_(k-1)..c_0) of the route the node-0 search records to x on MC(s, k).
 
     Among least-cost vectors it takes the most hops on the first port code:
     the most negative c_(k-1), else the largest, then the same for c_(k-2),
-    and so on down.  At a low digit that means a carry in unlike the carry
-    out whenever the costs allow it.  For one half of a split offset,
-    ``start`` is the least cost per carry into digit 0, and a given ``carry``
-    out of digit k - 1 makes that a low digit.
+    and so on down: at a low digit, a carry in unlike the carry out when
+    the costs allow.  A given ``carry`` out of digit k - 1 makes it a low digit.
     """
     digits = []
     for _ in range(k):
         x, r = divmod(x, s)
         digits.append(r)
-    costs = [start]  # costs[j]: least cost of digits below j, per carry into j
+    costs = [(0, math.inf)]  # costs[j]: least cost of digits below j, per carry into j
     for r in digits if carry is not None else digits[:-1]:
         costs.append(_carries(s, r, costs[-1]))
     hops = []
@@ -136,9 +131,10 @@ def _digit_hops(s: int, k: int, x: int, start=(0, math.inf), carry=None) -> list
         a, b = _top(s, digits[-1]), _top(s, digits[-1] + 1)
         ta, tb = costs[-1][0] + abs(a), costs[-1][1] + abs(b)
         carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
+        costs.append((ta, tb))
         hops.append(b if carry else a)
-        k -= 1
-    for j in range(k - 1, -1, -1):
+    cost = costs[-1][carry]
+    for j in range(k - 1 - len(hops), -1, -1):  # the digits below any placed top digit
         r = digits[j]
         t = 1 - carry
         c = r + t - s * carry
@@ -147,41 +143,35 @@ def _digit_hops(s: int, k: int, x: int, start=(0, math.inf), carry=None) -> list
             c = r + t - s * carry
         hops.append(c)
         carry = t
-    return hops
+    return cost, hops
 
 
 @lru_cache(maxsize=8)
 def _halves(spec: CirculantSpec, m: int) -> tuple:
-    """(m, s**m, low table, high table, port codes) of MC(s, k) split at digit m, 1 <= m < k."""
+    """(s**m, low table, high table, low and high port codes) of MC(s, k) split at digit m."""
     code = neighbor_offsets(spec).index
     ports = [(code(spec.n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices)]
-    return m, spec.s**m, [None] * spec.s**m, [None] * spec.s ** (spec.k - m), ports
+    return spec.s**m, [None] * spec.s**m, [None] * spec.s ** (spec.k - m), ports[-m:], ports[:-m]
 
 
 def _half(spec: CirculantSpec, tables: tuple, high: bool, x: int) -> tuple:
     """Fill entry x of a table: cost with carry 1 less cost with 0, carry 1 preferred, runs."""
-    s, k, (m, _, _, _, ports) = spec.s, spec.k, tables
-    if high:  # carry 0, then carry 1, into digit m
-        vs = _digit_hops(s, k - m, x), _digit_hops(s, k - m, x, (math.inf, 0))
-        ports = ports[: k - m]
-    else:  # carry 0, then carry 1, out of digit m - 1
-        vs = _digit_hops(s, m, x, carry=0), _digit_hops(s, m, x, carry=1)
-        ports = ports[k - m :]
-    key0, key1 = ([(c < 0, abs(c)) for c in v] for v in vs)
-    runs = (tuple((port[c > 0], abs(c)) for port, c in zip(ports, v) if c) for v in vs)
-    tables[2 + high][x] = entry = (sum(map(abs, vs[1])) - sum(map(abs, vs[0])), key1 > key0, *runs)
+    s, ports = spec.s, tables[3 + high]
+    k = len(ports)  # high digits x with carry t in route as x + t (its low k digits) with none
+    (cost0, v0), (cost1, v1) = (
+        _digit_hops(s, k, x + t) if high else _digit_hops(s, k, x, t) for t in (0, 1)
+    )
+    runs = (tuple((port[c > 0], abs(c)) for port, c in zip(ports, v) if c) for v in (v0, v1))
+    prefer1 = [(c < 0, abs(c)) for c in v1] > [(c < 0, abs(c)) for c in v0]
+    tables[1 + high][x] = entry = (cost1 - cost0, prefer1, *runs)
     return entry
 
 
-def _route(spec: CirculantSpec, offset: int, m: int | None = None) -> Sequence[tuple[int, int]]:
+def _route(spec: CirculantSpec, offset: int) -> list | tuple:
     """Runs (code, hops), ascending by code, of the route 0 -> offset the node-0 search records.
 
-    On MC(s, k), k >= 2, they come from the tables split at digit m (default
-    k // 2).  The carry into digit m is the only DP state that crosses the
-    split, and the tie rule reads the high digits first, so the route is the
-    high runs for the carry whose two costs sum least (on a tie, the one the
-    rule prefers; the two high vectors differ at digit m), then the low runs
-    for that carry.
+    On MC(s, k), k >= 2, the carry into digit k // 2 is the one DP state that
+    crosses the split, and the tie rule reads the high digits first.
     """
     if not spec.is_multiplicative:
         codes = neighbor_offsets(spec).index
@@ -192,10 +182,10 @@ def _route(spec: CirculantSpec, offset: int, m: int | None = None) -> Sequence[t
     if spec.k == 1:  # a ring: codes 1 and 2 step -1 and +1
         c = _top(spec.n, offset)
         return [(1 + (c > 0), abs(c))] if c else []
-    tables = _halves(spec, spec.k // 2 if m is None else m)
-    high, low = divmod(offset, tables[1])
-    lo = tables[2][low] or _half(spec, tables, False, low)
-    hi = tables[3][high] or _half(spec, tables, True, high)
+    tables = _halves(spec, spec.k // 2)
+    high, low = divmod(offset, tables[0])
+    lo = tables[1][low] or _half(spec, tables, False, low)
+    hi = tables[2][high] or _half(spec, tables, True, high)
     d = lo[0] + hi[0]  # the carry across the split: the least cost, then the rule's choice
     carry = d < 0 or (d == 0 and hi[1])
     return hi[2 + carry] + lo[2 + carry]

@@ -3,13 +3,12 @@
 The network is contention free: every packet is injected at cycle 0 and
 advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  A circulant is
-vertex transitive, so ``run`` reads the traffic as a stream of offsets
-(dst - src) mod n (``TrafficPattern._offsets``) and walks every packet hop
-by hop as its offset's node-0 walk, in ``static_route._hop_tally`` or
-``greedy_route._hop_tally``.  Delivery is checked packet by packet; a packet
-that stops anywhere but its offset aborts the run with a RoutingError
-rather than being dropped silently.  Either mode hands back one mapping from
-hop count to packets, which gives every figure of the report.
+vertex transitive, so ``run`` walks every packet hop by hop as the node-0
+walk of its offset (dst - src) mod n (``TrafficPattern._offsets``), in
+``static_route._hop_tally`` or ``greedy_route._hop_tally``.  A packet that
+stops anywhere but its offset aborts the run with a RoutingError rather
+than being dropped silently.  Either mode hands back one mapping from hop
+count to packets, which gives every figure of the report.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -138,8 +137,7 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     ``seed`` feeds random traffic only when the pattern does not carry its
     own seed.  All-pairs traffic is n(n-1) packets, so it is refused above
     ALL_PAIRS_NODE_LIMIT nodes; random traffic costs a count the caller chose.
-    The run reads only the pattern's offset stream.  Every packet is forwarded
-    hop by hop and its delivery checked; a batch may build a per-spec list.
+    Every packet of the offset stream is walked hop by hop and its delivery checked.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -158,10 +158,8 @@ def consume_step(
     )
 
 
-# Largest spec whose batch runs walk a field list: n fields of at most
-# diameter * bits_per_hop bits, so a list holds at most 0.3 MiB (see README).
-FIELD_LIST_NODE_LIMIT = 2**12
-FIELD_LIST_BITS = 2**20
+# Most bytes a full field list may take: 40 per slot, plus 4 per 30 bits of the widest field.
+FIELD_LIST_BYTES = 2**22
 
 
 class _Routes(NamedTuple):
@@ -187,8 +185,7 @@ def _field(spec: CirculantSpec, off: int) -> int:
 
     The hop count must fit the capacity (ValueError), no code may lie past
     the hop slots and every run's code must name a port (CorruptPacketError),
-    so each code fits its slot and the field decodes to exactly these runs,
-    and the runs must lead from 0 to off (RoutingError).  Nothing is kept.
+    and the runs must lead from 0 to off (RoutingError).
     """
     n, offsets, _, b, mask, capacity = _routes(spec)
     runs = _route(spec, off)
@@ -200,18 +197,16 @@ def _field(spec: CirculantSpec, off: int) -> int:
         raise ValueError(f"{encoded} hops exceed capacity {capacity}")
     if field >> (encoded * b):
         raise CorruptPacketError(f"path field has codes past its {encoded} hop slots")
-    end = 0
-    for code, hops in runs:
-        end += hops * _by_code(offsets, code)
-    if end % n != off:
-        raise RoutingError(f"packet for {off} stopped at {end % n}")
+    end = sum(hops * _by_code(offsets, code) for code, hops in runs) % n
+    if end != off:
+        raise RoutingError(f"packet for {off} stopped at {end}")
     return field
 
 
 @lru_cache(maxsize=8)
-def _field_list(spec: CirculantSpec) -> list[int]:
-    """Every offset's path field by offset; a refused field raises, so it is never cached."""
-    return [_field(spec, off) for off in range(spec.n)]
+def _field_list(spec: CirculantSpec) -> list:
+    """Path fields by offset, each None until a batch run packs it; a refused field stays None."""
+    return [None] * spec.n
 
 
 class _Packed(dict):
@@ -243,16 +238,17 @@ def build_packet(
 def _hop_tally(spec: CirculantSpec, offsets, batch: bool = True) -> dict[int, int]:
     """Walk each offset's path field from node 0; map each hop count to its packets.
 
-    A batch within FIELD_LIST_NODE_LIMIT nodes and FIELD_LIST_BITS field bits
-    reads the spec's checked field list, any other run packs each field.  A
-    packet that stops anywhere but its offset raises RoutingError.
+    A batch whose full field list fits FIELD_LIST_BYTES fills the spec's
+    list; any other run packs each field.  A misdelivery raises RoutingError.
     """
     n, _, steps, b, mask, capacity = _routes(spec)
-    listed = batch and n <= FIELD_LIST_NODE_LIMIT and n * capacity * b <= FIELD_LIST_BITS
+    listed = batch and n * (40 + capacity * b // 7) <= FIELD_LIST_BYTES
     fields = _field_list(spec) if listed else _Packed(spec)
     counts = [0] * (capacity + 1)
     for off in offsets:
         field = fields[off]
+        if field is None:
+            field = fields[off] = _field(spec, off)
         node = 0
         hops = 0
         while field:

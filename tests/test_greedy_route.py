@@ -263,7 +263,7 @@ class TestNextDistances:
         # one packet walks at most n // 2 hops, fewer than a build fills
         spec = make_multiplicative(4, 8)
         greedy_route._next_distances.cache_clear()
-        hops = sum(map(abs, _digit_hops(4, 8, 43690)))
+        hops = sum(map(abs, _digit_hops(4, 8, 43690)[1]))
         assert run(spec, "greedy", TrafficPattern.single(0, 43690)).hop_histogram == {hops: 1}
         assert greedy_route._next_distances.cache_info().currsize == 0
         run(spec, "greedy", TrafficPattern.random_pairs(2, seed=1))
@@ -347,7 +347,7 @@ class TestNextDistances:
         s, k, offset = case
         spec = make_multiplicative(s, k)
         assert spec.n <= greedy_route.NEXT_DISTANCE_NODE_LIMIT
-        hops = sum(map(abs, _digit_hops(s, k, offset)))
+        hops = sum(map(abs, _digit_hops(s, k, offset)[1]))
         assert greedy_route._hop_tally(spec, [offset]) == {hops: 1}
 
 
@@ -383,7 +383,7 @@ class TestTally:
             else:
                 walked = Counter({h: n * c for h, c in Counter(
                     bisect_walk(off) for off in range(1, n)).items()})
-            dp = Counter(sum(map(abs, _digit_hops(s, k, off))) for off in range(1, n))
+            dp = Counter(sum(map(abs, _digit_hops(s, k, off)[1])) for off in range(1, n))
             assert tally == walked == {hops: n * count for hops, count in dp.items()}, spec.label
 
     # sim-greedy's random batches: MC(4,6) x 2000, MC(2,12) x 2000 and MC(4,8) x 1600
@@ -495,7 +495,7 @@ class TestStretch:
         # hop vectors with sum c_j * s**j = dst - src (mod s**k)
         s, k, src, dst = case
         spec = make_multiplicative(s, k)
-        hops = _digit_hops(s, k, (dst - src) % spec.n)
+        hops = _digit_hops(s, k, (dst - src) % spec.n)[1]
         assert len(greedy_path(spec, src, dst)) - 1 == sum(abs(c) for c in hops)
 
     def test_size_guard(self):

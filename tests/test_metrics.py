@@ -284,9 +284,10 @@ def split_specs(k):
 
 
 @pytest.mark.parametrize("k", range(2, 17))
-def test_split_tables_route_as_the_full_dp_at_every_split(k):
-    # every offset, every split 1 <= m < k: the runs the tables hand out are
-    # the old DP's hop vector as runs, largest generatrix first, minus first
+def test_split_tables_route_as_the_full_dp_at_every_split(k, monkeypatch):
+    # every offset, every split 1 <= m < k: the runs _route reads from the
+    # tables split at m are the old DP's hop vector as runs, largest
+    # generatrix first, minus first
     for s, k in split_specs(k):
         spec = make_multiplicative(s, k)
         n = spec.n
@@ -297,7 +298,11 @@ def test_split_tables_route_as_the_full_dp_at_every_split(k):
             for x in range(n)
         ]
         for m in range(1, k):
-            assert [metrics._route(spec, x, m) for x in range(n)] == want, (s, k, m)
+            tables = metrics._halves(spec, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_halves", lambda spec, half: tables)
+                got = [metrics._route(spec, x) for x in range(n)]
+            assert got == want, (s, k, m)
         metrics._halves.cache_clear()
 
 
@@ -310,8 +315,11 @@ def test_routes_read_the_tables_split_at_half_the_digits():
         spec = make_multiplicative(s, k)
         metrics._halves.cache_clear()
         x = spec.n // 3
-        assert metrics._route(spec, x) == metrics._route(spec, x, k // 2)
+        metrics._route(spec, x)
         assert metrics._halves.cache_info().currsize == 1
-        m, unit, low, high, _ = metrics._halves(spec, k // 2)
-        assert (m, unit, len(low), len(high)) == (k // 2, s**m, s**m, s ** (k - m))
+        unit, low, high, low_ports, high_ports = metrics._halves(spec, k // 2)
+        assert metrics._halves.cache_info().hits == 1
+        m = k // 2
+        assert (unit, len(low), len(high)) == (s**m, s**m, s ** (k - m))
+        assert (len(low_ports), len(high_ports)) == (m, k - m)
         assert sum(entry is not None for entry in low + high) == 2

@@ -294,8 +294,8 @@ class TestRun:
     def test_run_routes_each_offset_once(self, encodes):
         spec = make_multiplicative(4, 3)
         run(spec, "source_routed", TrafficPattern.all_pairs())
-        # the batch builds the spec's list: one field per offset, 0 included
-        assert encodes == Counter(range(spec.n))
+        # the batch fills the spec's list: one field per offset it meets
+        assert encodes == Counter(range(1, spec.n))
         # the list outlives the run: a second one packs nothing
         encodes.clear()
         run(spec, "source_routed", TrafficPattern.random_pairs(500, seed=3))
@@ -311,16 +311,32 @@ class TestRun:
         assert listed() == 0
         encodes.clear()
         run(spec, "source_routed", TrafficPattern.all_pairs())
-        assert encodes == Counter(range(spec.n)) and listed() == 1
+        assert encodes == Counter(range(1, spec.n)) and listed() == 1
 
-    def test_a_batch_past_the_node_bound_packs_every_packet(self, encodes):
+    def test_a_batch_packs_each_offset_it_meets_once(self, encodes):
         # n = 19683 is odd: where 8 divides n, the LCG's pairs meet only n / 8 offsets
         spec = make_multiplicative(3, 9)
-        assert spec.n > static_route.FIELD_LIST_NODE_LIMIT
         traffic = TrafficPattern.random_pairs(20000, seed=5)
         pairs = list(traffic.pairs(spec))
         offsets = Counter((dst - src) % spec.n for src, dst in pairs)
-        assert len(offsets) > 8192  # more offsets than the old memo's cap
+        assert len(offsets) > 8192 and max(offsets.values()) > 1
+        report = run(spec, "source_routed", traffic)
+        assert encodes == Counter(set(offsets)) and listed() == 1
+        tally = Counter(len(shortest_path(spec, src, dst)) - 1 for src, dst in pairs)
+        assert_report_is_the_tally(report, tally)
+        encodes.clear()
+        assert run(spec, "source_routed", traffic) == report
+        assert encodes == Counter() and listed() == 1
+
+    def test_a_batch_past_the_byte_bound_packs_every_packet(self, encodes):
+        # n = 177147 is odd, and its full list would pass FIELD_LIST_BYTES
+        spec = make_multiplicative(3, 11)
+        routes = static_route._routes(spec)
+        assert spec.n * (40 + routes.capacity * routes.bits // 7) > static_route.FIELD_LIST_BYTES
+        traffic = TrafficPattern.random_pairs(20000, seed=5)
+        pairs = list(traffic.pairs(spec))
+        offsets = Counter((dst - src) % spec.n for src, dst in pairs)
+        assert len(offsets) > 8192 and max(offsets.values()) > 1
         report = run(spec, "source_routed", traffic)
         # one field packed per packet, none kept: a second run packs them all again
         assert encodes == offsets and listed() == 0
@@ -358,8 +374,8 @@ class TestRun:
             patch.setattr(
                 static_route, "_route", lambda spec, off: runs if off == 1 else route(spec, off)
             )
-            # one packet packs its own field; a batch builds the list, whose
-            # build refuses it at offset 1; build_packet packs it once more
+            # one packet packs its own field; a batch packs it for its list
+            # and refuses it before the list keeps it; build_packet packs it once more
             for pattern in (traffic, TrafficPattern.all_pairs()):
                 with pytest.raises(error) as refused:
                     run(spec, "source_routed", pattern)
@@ -367,7 +383,7 @@ class TestRun:
             with pytest.raises(error) as built:
                 build_packet(spec, 0, 1)
             assert str(built.value) == message
-        assert listed() == 0
+        assert listed() == 1 and static_route._field_list(spec)[1] is None
         for pattern in (traffic, TrafficPattern.all_pairs()):
             tally = Counter(len(shortest_path(spec, a, b)) - 1 for a, b in pattern.pairs(spec))
             assert_report_is_the_tally(run(spec, "source_routed", pattern), tally)
@@ -408,45 +424,45 @@ class TestRun:
         assert static_route._field_list.cache_info().maxsize == 8
         assert metrics._halves.cache_info().maxsize == 8
 
-    def test_the_list_holds_each_offsets_checked_field(self, cold_lists):
-        # MC(2,12) is at the node bound; every field is the one build_packet packs
-        spec = make_multiplicative(2, 12)
-        assert spec.n == static_route.FIELD_LIST_NODE_LIMIT
-        run(spec, "source_routed", TrafficPattern.random_pairs(2, seed=5))
+    def test_the_list_holds_the_checked_field_of_each_offset_met(self, cold_lists):
+        # every field kept is the one build_packet packs, and only offsets met are kept
+        spec = make_multiplicative(2, 16)
+        traffic = TrafficPattern.random_pairs(2000, seed=5)
+        run(spec, "source_routed", traffic)
         fields = static_route._field_list(spec)
-        assert listed() == 1
-        assert fields == [build_packet(spec, 0, off).path_field for off in range(spec.n)]
+        assert listed() == 1 and len(fields) == spec.n
+        kept = {off: field for off, field in enumerate(fields) if field is not None}
+        assert set(kept) == set(traffic._offsets(spec))
+        assert kept == {off: build_packet(spec, 0, off).path_field for off in kept}
 
     @pytest.mark.parametrize(
         "sk, lists",
         [
-            ((2, 4), True),  # 16 fields of 2 hops of 4 bits
-            ((2, 12), True),  # 4096 nodes: the node bound
-            ((3, 8), False),  # 6561 nodes
-            ((256, 1), True),  # 256 fields of 128 hops of 2 bits: 2**16 bits
-            ((801, 1), True),  # 801 * 400 * 2 = 640 800 bits
-            ((1024, 1), True),  # 1024 * 512 * 2 bits: the bit bound
-            ((1025, 1), False),  # 1025 * 512 * 2 bits
+            ((2, 4), True),  # 16 entries of 2 hops of 4 bits
+            ((2, 16), True),  # 65536 entries of up to 8 hops of 5 bits: 2.81 MiB
+            ((3, 10), True),  # 59049 entries of up to 10 hops of 5 bits
+            ((5, 7), True),  # 78125 entries of up to 14 hops of 4 bits
+            ((2, 17), False),  # 131072 entries of up to 9 hops of 6 bits
+            ((3, 11), False),
+            ((5282, 1), True),  # 5282 entries of up to 2641 hops of 2 bits: the longest ring
+            ((5283, 1), False),
         ],
     )
-    def test_a_list_is_built_only_within_the_node_and_bit_bounds(self, cold_lists, sk, lists):
+    def test_a_list_is_kept_only_within_the_byte_bound(self, cold_lists, sk, lists):
         spec = make_multiplicative(*sk)
         routes = static_route._routes(spec)
-        within = (
-            spec.n <= static_route.FIELD_LIST_NODE_LIMIT
-            and spec.n * routes.capacity * routes.bits <= static_route.FIELD_LIST_BITS
-        )
+        within = spec.n * (40 + routes.capacity * routes.bits // 7) <= static_route.FIELD_LIST_BYTES
         assert within == lists
         run(spec, "source_routed", TrafficPattern.random_pairs(2, seed=5))
         assert listed() == lists
 
-    def test_a_run_past_the_bit_bound_packs_and_tallies_every_packet(self, encodes):
-        # n = 1025 is odd, so the LCG's pairs meet offsets of every residue
-        spec = make_multiplicative(1025, 1)
+    def test_a_ring_past_the_byte_bound_packs_and_tallies_every_packet(self, encodes):
+        # n = 5283 is odd, so the LCG's pairs meet offsets of every residue
+        spec = make_multiplicative(5283, 1)
         traffic = TrafficPattern.random_pairs(2000, seed=5)
         pairs = list(traffic.pairs(spec))
         offsets = Counter((dst - src) % spec.n for src, dst in pairs)
-        assert len(offsets) == 882
+        assert max(offsets.values()) > 1
         report = run(spec, "source_routed", traffic)
         assert encodes == offsets and listed() == 0
         tally = Counter(len(shortest_path(spec, src, dst)) - 1 for src, dst in pairs)
