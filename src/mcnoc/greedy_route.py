@@ -48,7 +48,7 @@ STRETCH_NODE_LIMIT = 10_000
 NEXT_DISTANCE_NODE_LIMIT = 2**16
 
 # Longest greedy walk taken: at this length greedy_path's node list peaks at
-# about 40 MiB and takes about 0.2 s, and a bisecting count about 0.16 s.
+# about 40 MiB.
 GREEDY_HOP_LIMIT = 2**20
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
 from typing import NamedTuple
 
@@ -65,17 +65,17 @@ def _bfs(spec: CirculantSpec, src: int) -> tuple[list[int], list[int]]:
     return dist, pred
 
 
-class _Tree(NamedTuple):
-    pred: list[int]
+class _Distances(NamedTuple):
+    pred: list[int] | None  # the node-0 tree; None on MC(s, k), whose routes need none
     diameter: int
     total: int
 
 
 @lru_cache(maxsize=8)
-def _tree(spec: CirculantSpec) -> _Tree:
+def _tree(spec: CirculantSpec) -> _Distances:
     """The BFS tree from node 0; by translation, every node's tree."""
     dist, pred = _bfs(spec, 0)
-    return _Tree(pred, max(dist), sum(dist))
+    return _Distances(pred, max(dist), sum(dist))
 
 
 def _tree_path(pred: list[int], node: int) -> list[int]:
@@ -147,23 +147,24 @@ def _digit_hops(s: int, k: int, x: int, carry=None) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _halves(spec: CirculantSpec, m: int) -> tuple:
-    """(s**m, low table, high table, low and high port codes) of MC(s, k) split at digit m."""
+def _halves(spec: CirculantSpec) -> tuple:
+    """(low table, high table, low and high port codes) of MC(s, k) split at digit k // 2."""
+    m = spec.k // 2
     code = neighbor_offsets(spec).index
     ports = [(code(spec.n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices)]
-    return spec.s**m, [None] * spec.s**m, [None] * spec.s ** (spec.k - m), ports[-m:], ports[:-m]
+    return [None] * spec.s**m, [None] * spec.s ** (spec.k - m), ports[-m:], ports[:-m]
 
 
 def _half(spec: CirculantSpec, tables: tuple, high: bool, x: int) -> tuple:
-    """Fill entry x of a table: cost with carry 1 less cost with 0, carry 1 preferred, runs."""
-    s, ports = spec.s, tables[3 + high]
-    k = len(ports)  # high digits x with carry t in route as x + t (its low k digits) with none
-    (cost0, v0), (cost1, v1) = (
-        _digit_hops(s, k, x + t) if high else _digit_hops(s, k, x, t) for t in (0, 1)
-    )
-    runs = (tuple((port[c > 0], abs(c)) for port, c in zip(ports, v) if c) for v in (v0, v1))
-    prefer1 = [(c < 0, abs(c)) for c in v1] > [(c < 0, abs(c)) for c in v0]
-    tables[1 + high][x] = entry = (cost1 - cost0, prefer1, *runs)
+    """Fill entry x: high (cost, rank, runs) of its DP, low (carry 1 less 0 cost, runs per carry)."""
+    s, ports = spec.s, tables[2 + high]
+    dps = [_digit_hops(s, len(ports), x, t) for t in ((None,) if high else (0, 1))]
+    runs = [tuple((port[c > 0], abs(c)) for port, c in zip(ports, v) if c) for _, v in dps]
+    if high:  # the tie rule's order: base-2s digits, top first, a minus side above any plus side
+        rank = reduce(lambda rank, c: 2 * s * rank + (s - c if c < 0 else c), dps[0][1], 0)
+        tables[1][x] = entry = (dps[0][0], rank, *runs)
+    else:
+        tables[0][x] = entry = (dps[1][0] - dps[0][0], *runs)
     return entry
 
 
@@ -182,22 +183,21 @@ def _route(spec: CirculantSpec, offset: int) -> list | tuple:
     if spec.k == 1:  # a ring: codes 1 and 2 step -1 and +1
         c = _top(spec.n, offset)
         return [(1 + (c > 0), abs(c))] if c else []
-    tables = _halves(spec, spec.k // 2)
-    high, low = divmod(offset, tables[0])
-    lo = tables[1][low] or _half(spec, tables, False, low)
-    hi = tables[2][high] or _half(spec, tables, True, high)
-    d = lo[0] + hi[0]  # the carry across the split: the least cost, then the rule's choice
-    carry = d < 0 or (d == 0 and hi[1])
-    return hi[2 + carry] + lo[2 + carry]
-
-
-class _Sums(NamedTuple):
-    diameter: int
-    total: int
+    tables = _halves(spec)
+    lows, highs = tables[0], tables[1]
+    high, low = divmod(offset, len(lows))
+    carry_in = (high + 1) % len(highs)  # H with carry 1 in routes as H + 1
+    lo = lows[low] or _half(spec, tables, False, low)
+    hi0 = highs[high] or _half(spec, tables, True, high)
+    hi1 = highs[carry_in] or _half(spec, tables, True, carry_in)
+    d = lo[0] + hi1[0] - hi0[0]  # the carry across the split: the least cost, then the rank
+    if d < 0 or (d == 0 and hi1[1] > hi0[1]):
+        return hi1[2] + lo[2]
+    return hi0[2] + lo[1]
 
 
 @lru_cache(maxsize=256)
-def _digit_distances(spec: CirculantSpec) -> _Sums:
+def _digit_distances(spec: CirculantSpec) -> _Distances:
     """Diameter and distance total over every offset of MC(s, k), in O(k * s**2)."""
     _check_size(spec)
     s = spec.s
@@ -218,10 +218,10 @@ def _digit_distances(spec: CirculantSpec) -> _Sums:
             last = min(abs(_top(s, r)), d + abs(_top(s, r + 1)))
             total_cost += total + count * last
             diameter = max(diameter, worst + last)
-    return _Sums(diameter, total_cost)
+    return _Distances(None, diameter, total_cost)
 
 
-def _distances(spec: CirculantSpec):
+def _distances(spec: CirculantSpec) -> _Distances:
     """The cached record holding ``diameter`` and ``total`` of spec's distance profile."""
     return _digit_distances(spec) if spec.is_multiplicative else _tree(spec)
 

@@ -158,7 +158,7 @@ def consume_step(
     )
 
 
-# Most bytes a full field list may take: 40 per slot, plus 4 per 30 bits of the widest field.
+# Most bytes a full field list may take: 40 per slot, plus 1 per 7 bits of the widest field.
 FIELD_LIST_BYTES = 2**22
 
 

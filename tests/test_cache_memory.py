@@ -1,19 +1,23 @@
-"""The README's worst-case memory of the route caches, measured with tracemalloc.
+"""The README's worst-case memory of the route caches and of the longest greedy walk.
 
-Each test builds one cache at its worst admitted spec and checks the bytes
-it holds afterwards, and the peak while it is built, against the bound the
-README's "Worst-case cache memory" list states.
+Each cache test builds one cache at its worst admitted spec and checks the
+bytes it holds afterwards, and the peak while it is built (tracemalloc),
+against the bound the README's "Worst-case cache memory" list states.  The
+greedy walk's node list is sized with sys.getsizeof, since tracing a walk
+of GREEDY_HOP_LIMIT hops takes seconds.
 """
 
+import sys
 import tracemalloc
 
 import pytest
 
-from mcnoc import make_multiplicative, metrics, static_route
-from mcnoc.greedy_route import NEXT_DISTANCE_NODE_LIMIT, _ladder, _next_distances
+from mcnoc import greedy_path, make_multiplicative, metrics, port_table, static_route
+from mcnoc.greedy_route import GREEDY_HOP_LIMIT, NEXT_DISTANCE_NODE_LIMIT, _ladder, _next_distances
 from mcnoc.metrics import BFS_NODE_LIMIT
 from mcnoc.static_route import FIELD_LIST_BYTES
 
+KIB = 2**10
 MIB = 2**20
 
 
@@ -60,16 +64,36 @@ def test_route_tables_at_their_largest_spec():
     assert spec.n <= BFS_NODE_LIMIT < 102**3
 
     def fill():
-        tables = metrics._halves(spec, spec.k // 2)
-        for high in range(len(tables[2])):
+        tables = metrics._halves(spec)
+        for high in range(len(tables[1])):
             metrics._half(spec, tables, True, high)
-        for low in range(len(tables[1])):
+        for low in range(len(tables[0])):
             metrics._half(spec, tables, False, low)
         return tables
 
     metrics._halves.cache_clear()
     held, peak = traced(fill)
-    assert held <= 4.5 * MIB and peak <= 4.5 * MIB
+    metrics._halves.cache_clear()
+    # 2.65 MiB measured, held and at build, plus a 0.25 MiB margin
+    assert held <= 2.9 * MIB and peak <= 2.9 * MIB
+
+
+def test_port_table_at_the_most_ports():
+    # MC(2,30): 59 ports, the most of any MC spec within MAX_NODES
+    spec = make_multiplicative(2, 30)
+    assert len(port_table(spec)) == 59
+    port_table.cache_clear()
+    held, peak = traced(lambda: port_table(spec))
+    assert held <= 12 * KIB and peak <= 14 * KIB
+
+
+def test_greedy_path_at_the_hop_limit():
+    # the 2**21 + 1 ring walks GREEDY_HOP_LIMIT hops to n // 2; getsizeof
+    # leaves out the allocator's rounding of each 28-byte int to 32 bytes
+    ring = make_multiplicative(2**21 + 1, 1)
+    path = greedy_path(ring, 0, GREEDY_HOP_LIMIT)
+    assert len(path) == GREEDY_HOP_LIMIT + 1
+    assert sys.getsizeof(path) + sum(map(sys.getsizeof, path)) <= 40 * MIB
 
 
 @pytest.mark.parametrize("sk", [(256, 2), (65536, 1)])

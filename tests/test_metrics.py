@@ -298,12 +298,11 @@ def test_split_tables_route_as_the_full_dp_at_every_split(k, monkeypatch):
             for x in range(n)
         ]
         for m in range(1, k):
-            tables = metrics._halves(spec, m)
+            tables = [None] * s**m, [None] * s ** (k - m), ports[-m:], ports[:-m]
             with monkeypatch.context() as patch:
-                patch.setattr(metrics, "_halves", lambda spec, half: tables)
+                patch.setattr(metrics, "_halves", lambda spec: tables)
                 got = [metrics._route(spec, x) for x in range(n)]
             assert got == want, (s, k, m)
-        metrics._halves.cache_clear()
 
 
 def test_split_specs_are_the_115():
@@ -317,9 +316,35 @@ def test_routes_read_the_tables_split_at_half_the_digits():
         x = spec.n // 3
         metrics._route(spec, x)
         assert metrics._halves.cache_info().currsize == 1
-        unit, low, high, low_ports, high_ports = metrics._halves(spec, k // 2)
+        low, high, low_ports, high_ports = metrics._halves(spec)
         assert metrics._halves.cache_info().hits == 1
         m = k // 2
-        assert (unit, len(low), len(high)) == (s**m, s**m, s ** (k - m))
+        assert (len(low), len(high)) == (s**m, s ** (k - m))
         assert (len(low_ports), len(high_ports)) == (m, k - m)
-        assert sum(entry is not None for entry in low + high) == 2
+        # one low entry, and the high entries of H and H + 1
+        h, r = divmod(x, s**m)
+        assert [i for i, entry in enumerate(low) if entry] == [r]
+        assert [i for i, entry in enumerate(high) if entry] == sorted([h, (h + 1) % len(high)])
+
+
+@pytest.mark.parametrize("sk", [(3, 5), (2, 16), (101, 3)])
+def test_each_high_entry_costs_one_dp_and_each_low_entry_two(sk, monkeypatch):
+    # the high table is read at H and H + 1, so a high entry is its own DP
+    spec = make_multiplicative(*sk)
+    s, k = sk
+    fill = s ** (k - k // 2) + 2 * s ** (k // 2)
+    calls = []
+    dp = metrics._digit_hops
+    monkeypatch.setattr(metrics, "_digit_hops", lambda *args: calls.append(args) or dp(*args))
+    metrics._halves.cache_clear()
+    tables = metrics._halves(spec)
+    for high in range(len(tables[1])):
+        metrics._half(spec, tables, True, high)
+    for low in range(len(tables[0])):
+        metrics._half(spec, tables, False, low)
+    assert len(calls) == fill
+    if spec.n <= 2**16:  # every route reads the filled entries and runs no DP
+        for x in range(spec.n):
+            metrics._route(spec, x)
+        assert len(calls) == fill
+    metrics._halves.cache_clear()

@@ -246,7 +246,8 @@ class TestTieRule:
             assert [shortest_path(spec, 0, x) for x in range(spec.n)] == paths, spec.label
             packets = [encode_path(spec, path_to_actions(spec, path), path[-1]) for path in paths]
             assert [build_packet(spec, 0, x) for x in range(spec.n)] == packets, spec.label
-            assert _digit_distances(spec) == (max(dist), sum(dist)), spec.label
+            sums = _digit_distances(spec)
+            assert (sums.diameter, sums.total) == (max(dist), sum(dist)), spec.label
 
     @pytest.mark.parametrize("sk", [(2, 4), (2, 7), (3, 4), (4, 3), (5, 3), (11, 2), (13, 1)])
     def test_multiplicative_specs_read_no_tree(self, monkeypatch, sk):

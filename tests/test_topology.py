@@ -283,7 +283,7 @@ class TestStoredHash:
         assert encodes == {5: 2}
         assert static_route._routes(a) is static_route._routes(b)
         assert static_route._routes.cache_info().currsize == 1
-        assert metrics._halves(a, 1) is metrics._halves(b, 1)
+        assert metrics._halves(a) is metrics._halves(b)
         assert metrics._halves.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
