@@ -148,7 +148,12 @@ def _digit_hops(s: int, k: int, x: int, carry=None) -> tuple:
 
 @lru_cache(maxsize=8)
 def _halves(spec: CirculantSpec) -> tuple:
-    """(low table, high table, low and high port codes) of MC(s, k) split at digit k // 2."""
+    """(low table, high table, low and high port codes) of MC(s, k) split at digit k // 2.
+
+    The node guard runs here, so a warm route skips it and a refused spec,
+    never cached, raises on every call.
+    """
+    _check_size(spec)
     m = spec.k // 2
     code = neighbor_offsets(spec).index
     ports = [(code(spec.n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices)]
@@ -179,8 +184,8 @@ def _route(spec: CirculantSpec, offset: int) -> list | tuple:
         path = _tree_path(_tree(spec).pred, offset)
         steps = [codes((v - u) % spec.n) + 1 for u, v in zip(path, path[1:])]
         return [(code, len(list(run))) for code, run in groupby(steps)]
-    _check_size(spec)
     if spec.k == 1:  # a ring: codes 1 and 2 step -1 and +1
+        _check_size(spec)
         c = _top(spec.n, offset)
         return [(1 + (c > 0), abs(c))] if c else []
     tables = _halves(spec)

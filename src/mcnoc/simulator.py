@@ -13,14 +13,21 @@ count to packets, which gives every figure of the report.
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
 so a seed produces the same pairs on every platform and run: src is one
-draw and dst the next, drawn again while it equals src.  ``_draws`` is the
-one writing of it, for pairs and offsets alike.
+draw and dst the next, drawn again while it equals src.  ``_lcg`` writes
+the step, and ``_draws`` the draw rule for pairs and offsets alike, in
+blocks of up to PAIRS pairs: by the jump-ahead
+``x_t = (a_t * x_0 + c_t) mod 2**32``, one multiply-add over the 64-bit
+lanes of one int (``_lanes``) gives a block's states, and no lane, at most
+``(2**32 - 1)**2 + 2**32 < 2**64``, carries into the next.  A redraw ends
+its block, and the next block starts from the state after the redraw.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import chain, permutations, repeat
 
 from . import greedy_route, static_route
@@ -32,6 +39,34 @@ MODES = ("source_routed", "greedy")
 
 BENCH_NODE_LIMIT = 10_000
 ALL_PAIRS_NODE_LIMIT = 256
+PAIRS = 512  # random pairs drawn per block; a block's lists and lanes peak near 80 KiB
+
+
+def _lcg(x: int) -> int:
+    """One step of the random-traffic generator."""
+    return (1664525 * x + 1013904223) & 0xFFFFFFFF
+
+
+@lru_cache(maxsize=1)
+def _lanes() -> tuple:
+    """The jump-ahead x_t = (a_t * x_0 + c_t) mod 2**32, one 64-bit lane per pair.
+
+    (a_t, c_t) of the src states t = 1, 3, .., 2 * PAIRS - 1, then of the
+    dst states t = 2, 4, .., 2 * PAIRS, then a 1 in every lane.  Built on
+    the first random draw: x_t from 0 is c_t, and x_t from 1 less c_t is a_t.
+    """
+    c, one = [0], [1]
+    for _ in range(2 * PAIRS):
+        c.append(_lcg(c[-1]))
+        one.append(_lcg(one[-1]))
+    a = [(x - y) & 0xFFFFFFFF for x, y in zip(one, c)]
+    tables = a[1::2], c[1::2], a[2::2], c[2::2], [1] * PAIRS
+    return tuple(int.from_bytes(struct.pack(f"<{PAIRS}Q", *t), "little") for t in tables)
+
+
+def _unpack(lanes: int, count: int) -> tuple:
+    """The first count 64-bit lanes of an int of at most PAIRS lanes, lowest first."""
+    return struct.unpack_from(f"<{count}Q", lanes.to_bytes(8 * PAIRS, "little"))
 
 
 @dataclass(frozen=True)
@@ -83,7 +118,11 @@ class TrafficPattern:
         if self.kind == "all_pairs":
             yield from permutations(range(spec.n), 2)
         elif self.kind == "random_pairs":
-            yield from self._draws(spec.n, default_seed, False)
+            n = spec.n
+            for srcs, offs in self._draws(n, default_seed):
+                for x, off in zip(_unpack(srcs, len(offs)), offs):
+                    src = x % n
+                    yield src, (src + off) % n
         else:  # single
             _check_node(spec, "source", self.src)
             _check_node(spec, "destination", self.dst)
@@ -101,21 +140,50 @@ class TrafficPattern:
         if self.kind == "all_pairs":
             return chain.from_iterable(repeat(range(1, n), n))
         if self.kind == "random_pairs":
-            return self._draws(n, default_seed, True)
+            return chain.from_iterable(offs for _, offs in self._draws(n, default_seed))
         return [(dst - src) % n for src, dst in self.pairs(spec)]
 
-    def _draws(self, n: int, default_seed: int, offsets: bool):
-        """The random pairs on n nodes, or with ``offsets`` their offsets."""
+    def _draws(self, n: int, default_seed: int):
+        """The random pairs on n nodes in blocks: (src states as 64-bit lanes, their offsets).
+
+        Pair j of a block from state x has src state x_(2j+1) and dst state
+        x_(2j+2), where ``x_t = (a_t * x + c_t) mod 2**32`` lane by lane, so
+        one multiply-add per side gives a whole block.  Its offset
+        (dst - src) mod n is ``(x_dst - x_src + z) % n``, with
+        ``z = 2**32 + (-2**32 mod n)`` a multiple of n that keeps each lane
+        positive.  The first pair whose offset is 0 draws dst again with
+        ``_lcg`` and ends its block, and the next block starts from the state
+        after the redraw.  A block holds min(PAIRS, n, count) lanes, since
+        up to about one pair in n redraws and wastes the rest of its block.
+        """
         x = (self.seed if self.seed is not None else default_seed) % 2**32
-        for _ in range(self.count):
-            x = (1664525 * x + 1013904223) & 0xFFFFFFFF
-            src = x % n
-            while True:  # draws dst at least once, and again while it is src
-                x = (1664525 * x + 1013904223) & 0xFFFFFFFF
-                off = (x - src) % n
-                if off:
-                    break
-            yield off if offsets else (src, x % n)
+        left = self.count
+        size = min(PAIRS, n, left)
+        if not size:
+            return
+        tables = _lanes()
+        if size < PAIRS:
+            tables = [t & ((1 << 64 * size) - 1) for t in tables]
+        a_src, c_src, a_dst, c_dst, ones = tables
+        low = 0xFFFFFFFF * ones
+        z = (2**32 + -(2**32) % n) * ones
+        while left > 0:
+            srcs = (a_src * x + c_src) & low
+            offs = [v % n for v in _unpack(((a_dst * x + c_dst) & low) + z - srcs, size)]
+            del offs[left:]
+            if 0 in offs:  # the first pair whose dst is its src draws dst again
+                i = offs.index(0)
+                x = (srcs >> 64 * i) & 0xFFFFFFFF
+                node = x % n
+                x = _lcg(x)
+                while x % n == node:
+                    x = _lcg(x)
+                offs[i] = (x - node) % n
+                del offs[i + 1:]
+            else:
+                x = _lcg(srcs >> 64 * (size - 1))
+            left -= len(offs)
+            yield srcs, offs
 
 
 @dataclass(frozen=True)

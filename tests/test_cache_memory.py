@@ -1,4 +1,4 @@
-"""The README's worst-case memory of the route caches and of the longest greedy walk.
+"""The README's worst-case memory of the route caches, the longest greedy walk and random traffic.
 
 Each cache test builds one cache at its worst admitted spec and checks the
 bytes it holds afterwards, and the peak while it is built (tracemalloc),
@@ -9,13 +9,26 @@ of GREEDY_HOP_LIMIT hops takes seconds.
 
 import sys
 import tracemalloc
+from collections import deque
+from itertools import islice
 
 import pytest
 
-from mcnoc import greedy_path, make_multiplicative, metrics, port_table, static_route
+from mcnoc import (
+    TrafficPattern,
+    greedy_path,
+    make_circulant,
+    make_multiplicative,
+    metrics,
+    port_table,
+    simulator,
+    static_route,
+)
 from mcnoc.greedy_route import GREEDY_HOP_LIMIT, NEXT_DISTANCE_NODE_LIMIT, _ladder, _next_distances
 from mcnoc.metrics import BFS_NODE_LIMIT
+from mcnoc.simulator import PAIRS
 from mcnoc.static_route import FIELD_LIST_BYTES
+from mcnoc.topology import MAX_NODES
 
 KIB = 2**10
 MIB = 2**20
@@ -104,3 +117,22 @@ def test_next_distance_list_at_the_node_limit(sk):
     _next_distances.cache_clear()
     held, peak = traced(lambda: _next_distances(spec.n, spec.generatrices, ladder))
     assert held <= 1.5 * MIB and peak <= 2.25 * MIB
+
+
+def test_random_traffic_lane_tables():
+    # five ints of PAIRS 64-bit lanes: 22.2 KiB held, 167 KiB while built
+    simulator._lanes.cache_clear()
+    held, peak = traced(simulator._lanes)
+    assert held <= 24 * KIB and peak <= 192 * KIB
+
+
+@pytest.mark.parametrize("n", [2**12, MAX_NODES])
+def test_random_traffic_holds_one_block(n):
+    # reading three blocks of a 10**7-pair stream peaks near 79 KiB, one
+    # block's lists and lane ints; a list of every offset would take 80 MB
+    spec = make_circulant(n, [1])
+    simulator._lanes()
+    for stream in (TrafficPattern.random_pairs(10**7, 5)._offsets(spec),
+                   TrafficPattern.random_pairs(10**7, 5).pairs(spec)):
+        held, peak = traced(lambda: deque(islice(stream, 3 * PAIRS), maxlen=0))
+        assert held <= 64 * KIB and peak <= 96 * KIB

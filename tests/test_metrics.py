@@ -327,6 +327,24 @@ def test_routes_read_the_tables_split_at_half_the_digits():
         assert [i for i, entry in enumerate(high) if entry] == sorted([h, (h + 1) % len(high)])
 
 
+def test_the_route_tables_run_the_node_guard_once_per_spec(monkeypatch):
+    # a warm route skips the guard; a refused spec is never cached and raises every time
+    checked = []
+    check = metrics._check_size
+    monkeypatch.setattr(metrics, "_check_size", lambda spec: checked.append(spec) or check(spec))
+    metrics._halves.cache_clear()
+    spec, big = make_multiplicative(4, 4), make_multiplicative(2, 21)
+    for x in range(spec.n):
+        metrics._route(spec, x)
+    assert checked == [spec]
+    for _ in range(2):
+        with pytest.raises(GuardLimitError, match="BFS guard$"):
+            metrics._route(big, 1)
+    assert checked == [spec, big, big]
+    assert metrics._halves.cache_info().currsize == 1
+    metrics._halves.cache_clear()
+
+
 @pytest.mark.parametrize("sk", [(3, 5), (2, 16), (101, 3)])
 def test_each_high_entry_costs_one_dp_and_each_low_entry_two(sk, monkeypatch):
     # the high table is read at H and H + 1, so a high entry is its own DP

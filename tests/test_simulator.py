@@ -28,7 +28,7 @@ from mcnoc import (
     sim_report_document,
 )
 from mcnoc import metrics, simulator, static_route
-from mcnoc.simulator import SIM_CSV_HEADER, SimReport
+from mcnoc.simulator import PAIRS, SIM_CSV_HEADER, SimReport
 from mcnoc.topology import MAX_NODES
 
 
@@ -81,6 +81,27 @@ def assert_report_is_the_tally(report, tally):
     assert report.avg_hops == sum(h * c for h, c in tally.items()) / report.injected
 
 
+def documented_pairs(n, count, seed):
+    """The module docstring's generator, written out, with the draws each pair took:
+    x_0 = seed mod 2**32, then x_{t+1} = (1664525 x_t + 1013904223) mod 2**32; src
+    from one draw, dst from the next, dst drawn again while it equals src."""
+    x = seed % 2**32
+    for _ in range(count):
+        x = (1664525 * x + 1013904223) % 2**32
+        src = x % n
+        draws = 1
+        while True:
+            x = (1664525 * x + 1013904223) % 2**32
+            draws += 1
+            if x % n != src:
+                break
+        yield (src, x % n), draws
+
+
+# (n, seed): the first redraw comes at pair PAIRS - 1, the last of a full block
+LAST_PAIR_REDRAW = (2**16 + 1, 2**32 + 28846)
+
+
 class TestTrafficPatterns:
     def test_all_pairs_covers_ordered_pairs(self):
         spec = make_multiplicative(2, 3)
@@ -115,23 +136,41 @@ class TestTrafficPatterns:
     @given(st.sampled_from([3, 4]) | st.integers(3, 5000), st.integers(0, 100),
            st.integers(-(2**40), 2**40))
     def test_random_pairs_are_the_documented_lcg(self, n, count, seed):
-        # the module docstring's generator, written out: x_0 = seed mod 2**32, then
-        # x_{t+1} = (1664525 x_t + 1013904223) mod 2**32; src from one draw, dst
-        # from the next, dst drawn again while it equals src (often for n = 3, 4)
-        state = [seed % 2**32]
-
-        def draw():
-            state[0] = (1664525 * state[0] + 1013904223) % 2**32
-            return state[0] % n
-
-        reference = []
-        for _ in range(count):
-            src, dst = draw(), draw()
-            while dst == src:
-                dst = draw()
-            reference.append((src, dst))
         spec = make_circulant(n, [1])
+        reference = [pair for pair, _ in documented_pairs(n, count, seed)]
         assert list(TrafficPattern.random_pairs(count, seed).pairs(spec)) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 4, 2**16, 2**16 + 1, MAX_NODES]),
+           st.sampled_from([0, PAIRS - 1, PAIRS, PAIRS + 1, 3 * PAIRS + 7]),
+           st.sampled_from([-1, 0]) | st.integers(2**32, 2**80))
+    @example(LAST_PAIR_REDRAW[0], PAIRS, LAST_PAIR_REDRAW[1])
+    @example(LAST_PAIR_REDRAW[0], 3 * PAIRS + 7, LAST_PAIR_REDRAW[1])
+    def test_blocks_keep_the_documented_lcg(self, n, count, seed):
+        # counts around the block size; x_{t+1} - x_t is odd, so only odd n
+        # redraw: n = 3 about one pair in three; MAX_NODES has z = 2**32 + n - 2,
+        # and seed -1 starts at 2**32 - 1, the largest state a lane multiplies
+        spec = make_circulant(n, [1])
+        reference = [pair for pair, _ in documented_pairs(n, count, seed)]
+        traffic = TrafficPattern.random_pairs(count, seed)
+        assert list(traffic.pairs(spec)) == reference
+        assert list(traffic._offsets(spec)) == [(dst - src) % n for src, dst in reference]
+
+    def test_the_example_redraws_the_last_pair_of_a_block(self):
+        n, seed = LAST_PAIR_REDRAW
+        redrawn = [i for i, (_, draws) in enumerate(documented_pairs(n, 2 * PAIRS, seed))
+                   if draws > 2]
+        assert redrawn[0] == PAIRS - 1 and min(PAIRS, n) == PAIRS
+
+    def test_the_lane_tables_wait_for_the_first_random_draw(self):
+        spec = make_multiplicative(3, 3)
+        simulator._lanes.cache_clear()
+        for traffic in (TrafficPattern.single(0, 5), TrafficPattern.all_pairs(),
+                        TrafficPattern.random_pairs(0)):
+            run(spec, "greedy", traffic)
+        assert simulator._lanes.cache_info().currsize == 0
+        run(spec, "greedy", TrafficPattern.random_pairs(1))
+        assert simulator._lanes.cache_info().currsize == 1
 
     def test_pattern_seed_wins_over_run_seed(self):
         spec = make_multiplicative(3, 3)
