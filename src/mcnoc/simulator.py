@@ -47,14 +47,17 @@ def _lcg(x: int) -> int:
     return (1664525 * x + 1013904223) & 0xFFFFFFFF
 
 
-@lru_cache(maxsize=1)
-def _lanes() -> tuple:
-    """The jump-ahead x_t = (a_t * x_0 + c_t) mod 2**32, one 64-bit lane per pair.
+@lru_cache(maxsize=8)
+def _lanes(size: int) -> tuple:
+    """The jump-ahead x_t = (a_t * x_0 + c_t) mod 2**32, one 64-bit lane per pair of a block.
 
-    (a_t, c_t) of the src states t = 1, 3, .., 2 * PAIRS - 1, then of the
-    dst states t = 2, 4, .., 2 * PAIRS, then a 1 in every lane.  Built on
-    the first random draw: x_t from 0 is c_t, and x_t from 1 less c_t is a_t.
+    (a_t, c_t) of the src states t = 1, 3, .., 2 * size - 1, then of the
+    dst states t = 2, 4, .., 2 * size, then a 1 in every lane.  The PAIRS
+    lanes are built on the first random draw, x_t from 0 being c_t and x_t
+    from 1 less c_t being a_t; a smaller block keeps their low lanes.
     """
+    if size < PAIRS:
+        return tuple(t & ((1 << 64 * size) - 1) for t in _lanes(PAIRS))
     c, one = [0], [1]
     for _ in range(2 * PAIRS):
         c.append(_lcg(c[-1]))
@@ -161,10 +164,7 @@ class TrafficPattern:
         size = min(PAIRS, n, left)
         if not size:
             return
-        tables = _lanes()
-        if size < PAIRS:
-            tables = [t & ((1 << 64 * size) - 1) for t in tables]
-        a_src, c_src, a_dst, c_dst, ones = tables
+        a_src, c_src, a_dst, c_dst, ones = _lanes(size)
         low = 0xFFFFFFFF * ones
         z = (2**32 + -(2**32) % n) * ones
         while left > 0:

@@ -120,10 +120,15 @@ def test_next_distance_list_at_the_node_limit(sk):
 
 
 def test_random_traffic_lane_tables():
-    # five ints of PAIRS 64-bit lanes: 22.2 KiB held, 167 KiB while built
+    # five ints of PAIRS 64-bit lanes: 22.2 KiB held, 167 KiB while built;
+    # the cache's 8 block sizes at their largest hold 172 KiB
     simulator._lanes.cache_clear()
-    held, peak = traced(simulator._lanes)
+    held, peak = traced(lambda: simulator._lanes(PAIRS))
     assert held <= 24 * KIB and peak <= 192 * KIB
+    simulator._lanes.cache_clear()
+    held, peak = traced(lambda: [simulator._lanes(PAIRS - i) for i in range(8)])
+    assert simulator._lanes.cache_info().currsize == 8
+    assert held <= 192 * KIB and peak <= 192 * KIB
 
 
 @pytest.mark.parametrize("n", [2**12, MAX_NODES])
@@ -131,7 +136,7 @@ def test_random_traffic_holds_one_block(n):
     # reading three blocks of a 10**7-pair stream peaks near 79 KiB, one
     # block's lists and lane ints; a list of every offset would take 80 MB
     spec = make_circulant(n, [1])
-    simulator._lanes()
+    simulator._lanes(PAIRS)
     for stream in (TrafficPattern.random_pairs(10**7, 5)._offsets(spec),
                    TrafficPattern.random_pairs(10**7, 5).pairs(spec)):
         held, peak = traced(lambda: deque(islice(stream, 3 * PAIRS), maxlen=0))

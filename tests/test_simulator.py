@@ -169,8 +169,8 @@ class TestTrafficPatterns:
                         TrafficPattern.random_pairs(0)):
             run(spec, "greedy", traffic)
         assert simulator._lanes.cache_info().currsize == 0
-        run(spec, "greedy", TrafficPattern.random_pairs(1))
-        assert simulator._lanes.cache_info().currsize == 1
+        run(spec, "greedy", TrafficPattern.random_pairs(1))  # a block of one lane
+        assert simulator._lanes.cache_info().currsize == 2
 
     def test_pattern_seed_wins_over_run_seed(self):
         spec = make_multiplicative(3, 3)
