@@ -54,22 +54,25 @@ def _lanes(size: int) -> tuple:
     (a_t, c_t) of the src states t = 1, 3, .., 2 * size - 1, then of the
     dst states t = 2, 4, .., 2 * size, then a 1 in every lane.  The PAIRS
     lanes are built on the first random draw, x_t from 0 being c_t and x_t
-    from 1 less c_t being a_t; a smaller block keeps their low lanes.
+    from 1 less c_t being a_t, straight into bytes, so the build leaves no
+    small objects behind; a smaller block keeps their low lanes.
     """
     if size < PAIRS:
         return tuple(t & ((1 << 64 * size) - 1) for t in _lanes(PAIRS))
-    c, one = [0], [1]
-    for _ in range(2 * PAIRS):
-        c.append(_lcg(c[-1]))
-        one.append(_lcg(one[-1]))
-    a = [(x - y) & 0xFFFFFFFF for x, y in zip(one, c)]
-    tables = a[1::2], c[1::2], a[2::2], c[2::2], [1] * PAIRS
-    return tuple(int.from_bytes(struct.pack(f"<{PAIRS}Q", *t), "little") for t in tables)
+    tables = [bytearray(8 * PAIRS) for _ in range(4)]
+    c, one = 0, 1
+    for t in range(2 * PAIRS):
+        c, one = _lcg(c), _lcg(one)
+        pair, side = divmod(t, 2)
+        struct.pack_into("<Q", tables[2 * side], 8 * pair, (one - c) & 0xFFFFFFFF)
+        struct.pack_into("<Q", tables[2 * side + 1], 8 * pair, c)
+    tables.append(b"\1\0\0\0\0\0\0\0" * PAIRS)
+    return tuple(int.from_bytes(t, "little") for t in tables)
 
 
-def _unpack(lanes: int, count: int) -> tuple:
-    """The first count 64-bit lanes of an int of at most PAIRS lanes, lowest first."""
-    return struct.unpack_from(f"<{count}Q", lanes.to_bytes(8 * PAIRS, "little"))
+def _unpack(lanes: int, size: int) -> tuple:
+    """The 64-bit lanes of an int below 2**(64 * size), lowest first."""
+    return struct.unpack(f"<{size}Q", lanes.to_bytes(8 * size, "little"))
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class TrafficPattern:
         elif self.kind == "random_pairs":
             n = spec.n
             for srcs, offs in self._draws(n, default_seed):
-                for x, off in zip(_unpack(srcs, len(offs)), offs):
+                for x, off in zip(_unpack(srcs & ((1 << 64 * len(offs)) - 1), len(offs)), offs):
                     src = x % n
                     yield src, (src + off) % n
         else:  # single

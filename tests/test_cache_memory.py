@@ -120,11 +120,11 @@ def test_next_distance_list_at_the_node_limit(sk):
 
 
 def test_random_traffic_lane_tables():
-    # five ints of PAIRS 64-bit lanes: 22.2 KiB held, 167 KiB while built;
+    # five ints of PAIRS 64-bit lanes: 22.2 KiB held, 42.9 KiB while built;
     # the cache's 8 block sizes at their largest hold 172 KiB
     simulator._lanes.cache_clear()
     held, peak = traced(lambda: simulator._lanes(PAIRS))
-    assert held <= 24 * KIB and peak <= 192 * KIB
+    assert held <= 24 * KIB and peak <= 48 * KIB
     simulator._lanes.cache_clear()
     held, peak = traced(lambda: [simulator._lanes(PAIRS - i) for i in range(8)])
     assert simulator._lanes.cache_info().currsize == 8
