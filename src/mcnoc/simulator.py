@@ -13,13 +13,15 @@ count to packets, which gives every figure of the report.
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
 so a seed produces the same pairs on every platform and run: src is one
-draw and dst the next, drawn again while it equals src.  ``_lcg`` writes
-the step, and ``_draws`` the draw rule for pairs and offsets alike, in
-blocks of up to PAIRS pairs: by the jump-ahead
-``x_t = (a_t * x_0 + c_t) mod 2**32``, one multiply-add over the 64-bit
-lanes of one int (``_lanes``) gives a block's states, and no lane, at most
-``(2**32 - 1)**2 + 2**32 < 2**64``, carries into the next.  A redraw ends
-its block, and the next block starts from the state after the redraw.
+draw and dst the next, drawn again while it equals src.  ``_draws`` writes
+the generator once, for pairs and offsets alike.  A stream of at least
+PAIRS pairs on at least PAIRS nodes is drawn PAIRS pairs at a time
+(``_by_block``): by the jump-ahead ``x_t = (a_t * x_0 + c_t) mod 2**32``,
+one multiply-add over the 64-bit lanes of one int (``_lanes``) gives a
+block's states, and no lane, at most ``(2**32 - 1)**2 + 2**32 < 2**64``,
+carries into the next.  A redraw ends its block, and the next block starts
+from the state after the redraw.  Any other stream is drawn pair by pair
+(``_by_pair``), where a block's fixed cost would not be repaid.
 """
 
 from __future__ import annotations
@@ -42,37 +44,81 @@ ALL_PAIRS_NODE_LIMIT = 256
 PAIRS = 512  # random pairs drawn per block; a block's lists and lanes peak near 80 KiB
 
 
-def _lcg(x: int) -> int:
-    """One step of the random-traffic generator."""
-    return (1664525 * x + 1013904223) & 0xFFFFFFFF
+@lru_cache(maxsize=1)
+def _lanes(a: int, c: int) -> tuple:
+    """The jump-ahead of x -> (a * x + c) mod 2**32 over a block, one 64-bit lane per pair.
 
-
-@lru_cache(maxsize=8)
-def _lanes(size: int) -> tuple:
-    """The jump-ahead x_t = (a_t * x_0 + c_t) mod 2**32, one 64-bit lane per pair of a block.
-
-    (a_t, c_t) of the src states t = 1, 3, .., 2 * size - 1, then of the
-    dst states t = 2, 4, .., 2 * size, then a 1 in every lane.  The PAIRS
-    lanes are built on the first random draw, x_t from 0 being c_t and x_t
-    from 1 less c_t being a_t, straight into bytes, so the build leaves no
-    small objects behind; a smaller block keeps their low lanes.
+    x_t = (a_t * x_0 + c_t) mod 2**32: (a_t, c_t) of the src states
+    t = 1, 3, .., 2 * PAIRS - 1, then of the dst states t = 2, 4, .., 2 * PAIRS,
+    then a 1 in every lane.  Built on the first block drawn, x_t from 0
+    being c_t and x_t from 1 less c_t being a_t, straight into bytes, so the
+    build leaves no small objects behind.
     """
-    if size < PAIRS:
-        return tuple(t & ((1 << 64 * size) - 1) for t in _lanes(PAIRS))
     tables = [bytearray(8 * PAIRS) for _ in range(4)]
-    c, one = 0, 1
+    zero, one = 0, 1
     for t in range(2 * PAIRS):
-        c, one = _lcg(c), _lcg(one)
+        zero, one = (a * zero + c) & 0xFFFFFFFF, (a * one + c) & 0xFFFFFFFF
         pair, side = divmod(t, 2)
-        struct.pack_into("<Q", tables[2 * side], 8 * pair, (one - c) & 0xFFFFFFFF)
-        struct.pack_into("<Q", tables[2 * side + 1], 8 * pair, c)
+        struct.pack_into("<Q", tables[2 * side], 8 * pair, (one - zero) & 0xFFFFFFFF)
+        struct.pack_into("<Q", tables[2 * side + 1], 8 * pair, zero)
     tables.append(b"\1\0\0\0\0\0\0\0" * PAIRS)
     return tuple(int.from_bytes(t, "little") for t in tables)
 
 
-def _unpack(lanes: int, size: int) -> tuple:
-    """The 64-bit lanes of an int below 2**(64 * size), lowest first."""
-    return struct.unpack(f"<{size}Q", lanes.to_bytes(8 * size, "little"))
+def _unpack(lanes: int) -> tuple:
+    """The PAIRS 64-bit lanes of an int below 2**(64 * PAIRS), lowest first."""
+    return struct.unpack(f"<{PAIRS}Q", lanes.to_bytes(8 * PAIRS, "little"))
+
+
+def _by_pair(a: int, c: int, n: int, x: int, count: int, offsets: bool):
+    """count random pairs on n nodes from state x, or with ``offsets`` their offsets."""
+    for _ in range(count):
+        x = (a * x + c) & 0xFFFFFFFF
+        src = x % n
+        while True:  # draws dst at least once, and again while it is src
+            x = (a * x + c) & 0xFFFFFFFF
+            off = (x - src) % n
+            if off:
+                break
+        yield off if offsets else (src, x % n)
+
+
+def _by_block(a: int, c: int, n: int, x: int, count: int, offsets: bool):
+    """The same draws as ``_by_pair``, one block of offsets (or an iterator of pairs) at a time.
+
+    Pair j of a block from state x has src state x_(2j+1) and dst state
+    x_(2j+2), where ``x_t = (a_t * x + c_t) mod 2**32`` lane by lane
+    (``_lanes``; a lane holds at most ``(2**32 - 1)**2 + 2**32 < 2**64``, so
+    none carries into the next), and one multiply-add per side gives a
+    whole block.  Its offset (dst - src) mod n is ``(x_dst - x_src + z) % n``,
+    with ``z = 2**32 + (-2**32 mod n)`` a multiple of n that keeps each lane
+    positive.  The first pair whose offset is 0 draws dst again and ends
+    its block, and the next block starts from the state after the redraw.
+    """
+    a_src, c_src, a_dst, c_dst, ones = _lanes(a, c)
+    low = 0xFFFFFFFF * ones
+    z = (2**32 + -(2**32) % n) * ones
+    left = count
+    while left > 0:
+        srcs = (a_src * x + c_src) & low
+        offs = [v % n for v in _unpack(((a_dst * x + c_dst) & low) + z - srcs)]
+        del offs[left:]
+        if 0 in offs:  # the first pair whose dst is its src draws dst again
+            i = offs.index(0)
+            x = (srcs >> 64 * i) & 0xFFFFFFFF
+            node = x % n
+            x = (a * x + c) & 0xFFFFFFFF
+            while x % n == node:
+                x = (a * x + c) & 0xFFFFFFFF
+            offs[i] = (x - node) % n
+            del offs[i + 1:]
+        else:
+            x = (a * (srcs >> 64 * (PAIRS - 1)) + c) & 0xFFFFFFFF
+        left -= len(offs)
+        if offsets:
+            yield offs
+        else:
+            yield ((src, (src + off) % n) for src, off in zip([v % n for v in _unpack(srcs)], offs))
 
 
 @dataclass(frozen=True)
@@ -124,11 +170,7 @@ class TrafficPattern:
         if self.kind == "all_pairs":
             yield from permutations(range(spec.n), 2)
         elif self.kind == "random_pairs":
-            n = spec.n
-            for srcs, offs in self._draws(n, default_seed):
-                for x, off in zip(_unpack(srcs & ((1 << 64 * len(offs)) - 1), len(offs)), offs):
-                    src = x % n
-                    yield src, (src + off) % n
+            yield from self._draws(spec.n, default_seed, False)
         else:  # single
             _check_node(spec, "source", self.src)
             _check_node(spec, "destination", self.dst)
@@ -146,47 +188,23 @@ class TrafficPattern:
         if self.kind == "all_pairs":
             return chain.from_iterable(repeat(range(1, n), n))
         if self.kind == "random_pairs":
-            return chain.from_iterable(offs for _, offs in self._draws(n, default_seed))
+            return self._draws(n, default_seed, True)
         return [(dst - src) % n for src, dst in self.pairs(spec)]
 
-    def _draws(self, n: int, default_seed: int):
-        """The random pairs on n nodes in blocks: (src states as 64-bit lanes, their offsets).
+    def _draws(self, n: int, default_seed: int, offsets: bool):
+        """The random pairs on n nodes, or with ``offsets`` their offsets, as one iterator.
 
-        Pair j of a block from state x has src state x_(2j+1) and dst state
-        x_(2j+2), where ``x_t = (a_t * x + c_t) mod 2**32`` lane by lane, so
-        one multiply-add per side gives a whole block.  Its offset
-        (dst - src) mod n is ``(x_dst - x_src + z) % n``, with
-        ``z = 2**32 + (-2**32 mod n)`` a multiple of n that keeps each lane
-        positive.  The first pair whose offset is 0 draws dst again with
-        ``_lcg`` and ends its block, and the next block starts from the state
-        after the redraw.  A block holds min(PAIRS, n, count) lanes, since
-        up to about one pair in n redraws and wastes the rest of its block.
+        A stream of fewer than PAIRS pairs, or on fewer than PAIRS nodes, is
+        drawn pair by pair: it fills less than one block, or a redraw ends
+        its blocks about every n pairs, so a block's fixed cost (the table
+        lookup, two multiply-adds over its lanes, the byte round trip) is
+        not repaid.
         """
+        a, c = 1664525, 1013904223  # the generator x_{t+1} = (a * x_t + c) mod 2**32
         x = (self.seed if self.seed is not None else default_seed) % 2**32
-        left = self.count
-        size = min(PAIRS, n, left)
-        if not size:
-            return
-        a_src, c_src, a_dst, c_dst, ones = _lanes(size)
-        low = 0xFFFFFFFF * ones
-        z = (2**32 + -(2**32) % n) * ones
-        while left > 0:
-            srcs = (a_src * x + c_src) & low
-            offs = [v % n for v in _unpack(((a_dst * x + c_dst) & low) + z - srcs, size)]
-            del offs[left:]
-            if 0 in offs:  # the first pair whose dst is its src draws dst again
-                i = offs.index(0)
-                x = (srcs >> 64 * i) & 0xFFFFFFFF
-                node = x % n
-                x = _lcg(x)
-                while x % n == node:
-                    x = _lcg(x)
-                offs[i] = (x - node) % n
-                del offs[i + 1:]
-            else:
-                x = _lcg(srcs >> 64 * (size - 1))
-            left -= len(offs)
-            yield srcs, offs
+        if min(n, self.count) < PAIRS:
+            return _by_pair(a, c, n, x, self.count, offsets)
+        return chain.from_iterable(_by_block(a, c, n, x, self.count, offsets))
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,7 @@ def test_one_function_writes_the_traffic_generator():
     found = Counter()
     for path in SOURCES:
         _lcg_writers(ast.parse(path.read_text()), path.stem, found)
-    assert {owner for owner, _ in found} == {"simulator._lcg"}
+    assert {owner for owner, _ in found} == {"simulator._draws"}
     assert {value for _, value in found} == LCG_CONSTANTS
 
 

@@ -32,6 +32,7 @@ from mcnoc.topology import MAX_NODES
 
 KIB = 2**10
 MIB = 2**20
+LCG = (1664525, 1013904223)  # the traffic generator's multiplier and increment
 
 
 def traced(build):
@@ -120,23 +121,18 @@ def test_next_distance_list_at_the_node_limit(sk):
 
 
 def test_random_traffic_lane_tables():
-    # five ints of PAIRS 64-bit lanes: 22.2 KiB held, 42.9 KiB while built;
-    # the cache's 8 block sizes at their largest hold 172 KiB
+    # five ints of PAIRS 64-bit lanes: 22.2 KiB held, 42.9 KiB while built
     simulator._lanes.cache_clear()
-    held, peak = traced(lambda: simulator._lanes(PAIRS))
+    held, peak = traced(lambda: simulator._lanes(*LCG))
     assert held <= 24 * KIB and peak <= 48 * KIB
-    simulator._lanes.cache_clear()
-    held, peak = traced(lambda: [simulator._lanes(PAIRS - i) for i in range(8)])
-    assert simulator._lanes.cache_info().currsize == 8
-    assert held <= 192 * KIB and peak <= 192 * KIB
 
 
 @pytest.mark.parametrize("n", [2**12, MAX_NODES])
 def test_random_traffic_holds_one_block(n):
-    # reading three blocks of a 10**7-pair stream peaks near 79 KiB, one
+    # reading three blocks of a 10**7-pair stream peaks near 75 KiB, one
     # block's lists and lane ints; a list of every offset would take 80 MB
     spec = make_circulant(n, [1])
-    simulator._lanes(PAIRS)
+    simulator._lanes(*LCG)
     for stream in (TrafficPattern.random_pairs(10**7, 5)._offsets(spec),
                    TrafficPattern.random_pairs(10**7, 5).pairs(spec)):
         held, peak = traced(lambda: deque(islice(stream, 3 * PAIRS), maxlen=0))

@@ -100,6 +100,8 @@ def documented_pairs(n, count, seed):
 
 # (n, seed): the first redraw comes at pair PAIRS - 1, the last of a full block
 LAST_PAIR_REDRAW = (2**16 + 1, 2**32 + 28846)
+# (n, seed): pair 593, in the second block, draws dst three times
+DOUBLE_REDRAW = (PAIRS + 1, 18)
 
 
 class TestTrafficPatterns:
@@ -141,36 +143,47 @@ class TestTrafficPatterns:
         assert list(TrafficPattern.random_pairs(count, seed).pairs(spec)) == reference
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([3, 4, 2**16, 2**16 + 1, MAX_NODES]),
+    @given(st.sampled_from([3, 4, PAIRS - 1, PAIRS, PAIRS + 1, 2**16, 2**16 + 1, MAX_NODES]),
            st.sampled_from([0, PAIRS - 1, PAIRS, PAIRS + 1, 3 * PAIRS + 7]),
            st.sampled_from([-1, 0]) | st.integers(2**32, 2**80))
     @example(LAST_PAIR_REDRAW[0], PAIRS, LAST_PAIR_REDRAW[1])
     @example(LAST_PAIR_REDRAW[0], 3 * PAIRS + 7, LAST_PAIR_REDRAW[1])
+    @example(DOUBLE_REDRAW[0], 3 * PAIRS + 7, DOUBLE_REDRAW[1])
     def test_blocks_keep_the_documented_lcg(self, n, count, seed):
-        # counts around the block size; x_{t+1} - x_t is odd, so only odd n
-        # redraw: n = 3 about one pair in three; MAX_NODES has z = 2**32 + n - 2,
-        # and seed -1 starts at 2**32 - 1, the largest state a lane multiplies
+        # counts and node counts around the block size, on both sides of the
+        # pair-by-pair rule; x_{t+1} - x_t is odd, so only odd n redraw: n = 3
+        # about one pair in three, PAIRS + 1 about once a block; MAX_NODES has
+        # z = 2**32 + n - 2, and seed -1 starts at 2**32 - 1, the largest state
+        # a lane multiplies
         spec = make_circulant(n, [1])
         reference = [pair for pair, _ in documented_pairs(n, count, seed)]
         traffic = TrafficPattern.random_pairs(count, seed)
         assert list(traffic.pairs(spec)) == reference
         assert list(traffic._offsets(spec)) == [(dst - src) % n for src, dst in reference]
 
-    def test_the_example_redraws_the_last_pair_of_a_block(self):
+    def test_the_examples_redraw_where_they_say(self):
         n, seed = LAST_PAIR_REDRAW
         redrawn = [i for i, (_, draws) in enumerate(documented_pairs(n, 2 * PAIRS, seed))
                    if draws > 2]
-        assert redrawn[0] == PAIRS - 1 and min(PAIRS, n) == PAIRS
+        assert redrawn[0] == PAIRS - 1 and n >= PAIRS
+        n, seed = DOUBLE_REDRAW
+        assert [i for i, (_, draws) in enumerate(documented_pairs(n, 2 * PAIRS, seed))
+                if draws > 3] == [593]
 
-    def test_the_lane_tables_wait_for_the_first_random_draw(self):
-        spec = make_multiplicative(3, 3)
+    def test_only_a_long_stream_on_many_nodes_draws_blocks(self):
+        # the lane tables wait for the first block; a stream of fewer than
+        # PAIRS pairs, or on fewer than PAIRS nodes, never builds them
+        small, large = make_multiplicative(3, 3), make_multiplicative(2, 10)
         simulator._lanes.cache_clear()
-        for traffic in (TrafficPattern.single(0, 5), TrafficPattern.all_pairs(),
-                        TrafficPattern.random_pairs(0)):
+        for spec, traffic in ((small, TrafficPattern.all_pairs()),
+                              (large, TrafficPattern.single(0, 5)),
+                              (large, TrafficPattern.random_pairs(0)),
+                              (large, TrafficPattern.random_pairs(PAIRS - 1)),
+                              (small, TrafficPattern.random_pairs(4 * PAIRS))):
             run(spec, "greedy", traffic)
         assert simulator._lanes.cache_info().currsize == 0
-        run(spec, "greedy", TrafficPattern.random_pairs(1))  # a block of one lane
-        assert simulator._lanes.cache_info().currsize == 2
+        run(large, "greedy", TrafficPattern.random_pairs(PAIRS))
+        assert simulator._lanes.cache_info().currsize == 1
 
     def test_pattern_seed_wins_over_run_seed(self):
         spec = make_multiplicative(3, 3)
