@@ -14,14 +14,16 @@ Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
 so a seed produces the same pairs on every platform and run: src is one
 draw and dst the next, drawn again while it equals src.  ``_draws`` writes
-the generator once, for pairs and offsets alike.  A stream of at least
-PAIRS pairs on at least PAIRS nodes is drawn PAIRS pairs at a time
-(``_by_block``): by the jump-ahead ``x_t = (a_t * x_0 + c_t) mod 2**32``,
-one multiply-add over the 64-bit lanes of one int (``_lanes``) gives a
-block's states, and no lane, at most ``(2**32 - 1)**2 + 2**32 < 2**64``,
-carries into the next.  A redraw ends its block, and the next block starts
-from the state after the redraw.  Any other stream is drawn pair by pair
-(``_by_pair``), where a block's fixed cost would not be repaid.
+the generator once.  ``pairs`` draws it pair by pair (``_by_pair``), the
+loop this paragraph describes and the reference for the offset stream.
+An offset stream of at least PAIRS pairs on at least PAIRS nodes is drawn
+PAIRS pairs at a time (``_by_block``): by the jump-ahead
+``x_t = (a_t * x_0 + c_t) mod 2**32``, one multiply-add over the 64-bit
+lanes of one int (``_lanes``) gives a block's states, and no lane, at most
+``(2**32 - 1)**2 + 2**32 < 2**64``, carries into the next.  A redraw ends
+its block, and the next block starts from the state after the redraw.  A
+shorter offset stream is drawn pair by pair, where a block's fixed cost
+would not be repaid.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def _lanes(a: int, c: int) -> tuple:
     x_t = (a_t * x_0 + c_t) mod 2**32: (a_t, c_t) of the src states
     t = 1, 3, .., 2 * PAIRS - 1, then of the dst states t = 2, 4, .., 2 * PAIRS,
     then a 1 in every lane.  Built on the first block drawn, x_t from 0
-    being c_t and x_t from 1 less c_t being a_t, straight into bytes, so the
-    build leaves no small objects behind.
+    being c_t and x_t from 1 less c_t being a_t, straight into bytes: lists
+    of the lanes' ints would more than double the build's peak.
     """
     tables = [bytearray(8 * PAIRS) for _ in range(4)]
     zero, one = 0, 1
@@ -63,11 +65,6 @@ def _lanes(a: int, c: int) -> tuple:
         struct.pack_into("<Q", tables[2 * side + 1], 8 * pair, zero)
     tables.append(b"\1\0\0\0\0\0\0\0" * PAIRS)
     return tuple(int.from_bytes(t, "little") for t in tables)
-
-
-def _unpack(lanes: int) -> tuple:
-    """The PAIRS 64-bit lanes of an int below 2**(64 * PAIRS), lowest first."""
-    return struct.unpack(f"<{PAIRS}Q", lanes.to_bytes(8 * PAIRS, "little"))
 
 
 def _by_pair(a: int, c: int, n: int, x: int, count: int, offsets: bool):
@@ -83,8 +80,8 @@ def _by_pair(a: int, c: int, n: int, x: int, count: int, offsets: bool):
         yield off if offsets else (src, x % n)
 
 
-def _by_block(a: int, c: int, n: int, x: int, count: int, offsets: bool):
-    """The same draws as ``_by_pair``, one block of offsets (or an iterator of pairs) at a time.
+def _by_block(a: int, c: int, n: int, x: int, count: int):
+    """The offsets of ``_by_pair``'s draws, one block of up to PAIRS offsets at a time.
 
     Pair j of a block from state x has src state x_(2j+1) and dst state
     x_(2j+2), where ``x_t = (a_t * x + c_t) mod 2**32`` lane by lane
@@ -101,7 +98,8 @@ def _by_block(a: int, c: int, n: int, x: int, count: int, offsets: bool):
     left = count
     while left > 0:
         srcs = (a_src * x + c_src) & low
-        offs = [v % n for v in _unpack(((a_dst * x + c_dst) & low) + z - srcs)]
+        lanes = ((a_dst * x + c_dst) & low) + z - srcs
+        offs = [v % n for v in struct.unpack(f"<{PAIRS}Q", lanes.to_bytes(8 * PAIRS, "little"))]
         del offs[left:]
         if 0 in offs:  # the first pair whose dst is its src draws dst again
             i = offs.index(0)
@@ -115,10 +113,7 @@ def _by_block(a: int, c: int, n: int, x: int, count: int, offsets: bool):
         else:
             x = (a * (srcs >> 64 * (PAIRS - 1)) + c) & 0xFFFFFFFF
         left -= len(offs)
-        if offsets:
-            yield offs
-        else:
-            yield ((src, (src + off) % n) for src, off in zip([v % n for v in _unpack(srcs)], offs))
+        yield offs
 
 
 @dataclass(frozen=True)
@@ -194,17 +189,18 @@ class TrafficPattern:
     def _draws(self, n: int, default_seed: int, offsets: bool):
         """The random pairs on n nodes, or with ``offsets`` their offsets, as one iterator.
 
-        A stream of fewer than PAIRS pairs, or on fewer than PAIRS nodes, is
-        drawn pair by pair: it fills less than one block, or a redraw ends
-        its blocks about every n pairs, so a block's fixed cost (the table
-        lookup, two multiply-adds over its lanes, the byte round trip) is
-        not repaid.
+        Pairs are drawn pair by pair, by the documented loop.  Offsets are
+        drawn in blocks only for a stream of at least PAIRS pairs on at
+        least PAIRS nodes: a shorter stream fills less than one block, and
+        on fewer nodes a redraw ends the blocks about every n pairs, so a
+        block's fixed cost (the table lookup, two multiply-adds over its
+        lanes, the byte round trip) is not repaid.
         """
         a, c = 1664525, 1013904223  # the generator x_{t+1} = (a * x_t + c) mod 2**32
         x = (self.seed if self.seed is not None else default_seed) % 2**32
-        if min(n, self.count) < PAIRS:
-            return _by_pair(a, c, n, x, self.count, offsets)
-        return chain.from_iterable(_by_block(a, c, n, x, self.count, offsets))
+        if offsets and min(n, self.count) >= PAIRS:
+            return chain.from_iterable(_by_block(a, c, n, x, self.count))
+        return _by_pair(a, c, n, x, self.count, offsets)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CorruptPacketError, RoutingError
-from .metrics import _check_size, _route, diameter
-from .topology import CirculantSpec, HopAction, _check_int, _check_node, _int_text, port_table
+from .metrics import BFS_NODE_LIMIT, _check_size, _route, diameter
+from .topology import (
+    MAX_NODES, CirculantSpec, HopAction, _at_least, _check_int, _check_node, _guard, _int_text,
+    port_table,
+)
 
 
 def bits_per_hop(spec: CirculantSpec) -> int:
@@ -52,14 +55,24 @@ class SourceRoutedPacket:
     hop_capacity: int
 
     def bits(self) -> str:
-        """Render the field as B-bit groups, most significant hop first."""
-        b = self.bits_per_hop
-        mask = (1 << b) - 1
-        groups = max(self.hops_encoded, 1)
-        return "|".join(
-            format((self.path_field >> (i * b)) & mask, f"0{b}b")
-            for i in range(groups - 1, -1, -1)
-        )
+        """Render the field as B-bit groups, most significant hop first.
+
+        Refuses framing wider than any spec's slots or longer than any route
+        ``build_packet`` returns (GuardLimitError), and a field with codes
+        past its hop slots (CorruptPacketError).
+        """
+        b, hops, field = self.bits_per_hop, self.hops_encoded, self.path_field
+        _at_least("bits per hop", b, 1)
+        _at_least("hops encoded", hops, 0)
+        _check_int("path field", field)
+        _guard("packet", b, MAX_NODES.bit_length(), "slot guard", "bits per hop")
+        groups = max(hops, 1)
+        _guard("packet", groups, BFS_NODE_LIMIT // 2, "hop guard", "hop slots")
+        if field >> (hops * b):  # a negative field has codes in every slot
+            raise CorruptPacketError(f"path field has codes past its {hops} hop slots")
+        width = groups * b
+        text = format(field, f"0{width}b")
+        return "|".join(text[i : i + b] for i in range(0, width, b))
 
 
 def _offset(spec: CirculantSpec, src: int, dst: int) -> int:

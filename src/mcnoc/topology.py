@@ -125,7 +125,7 @@ def _check_float(name: str, v: int) -> None:
 
 def _guard(label: str, n: int, limit: int, guard: str = "guard", unit: str = "nodes") -> None:
     if n > limit:
-        raise GuardLimitError(f"{label} has {n} {unit}, above the {limit} {guard}")
+        raise GuardLimitError(f"{label} has {_int_text(n)} {unit}, above the {limit} {guard}")
 
 
 def make_multiplicative(s: int, k: int) -> CirculantSpec:

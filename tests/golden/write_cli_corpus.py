@@ -66,6 +66,9 @@ def _argvs() -> list[list[str]]:
             ["simulate", *mc43, "--algo", algo, "--traffic", "random:200", "--seed", big_seed],
             ["simulate", *mc43, "--algo", algo, "--traffic", "random:0"],
             ["simulate", *mc43, "--algo", algo, "--traffic", "pair:5:17"],
+            # long streams on many nodes, drawn in blocks; n = 729 is odd, so blocks end at redraws
+            ["simulate", *_mc(3, 6), "--algo", algo, "--traffic", "random:1500", "--seed", "11"],
+            ["simulate", *_mc(2, 10), "--algo", algo, "--traffic", "random:1500", "--seed", "11"],
         ]
     argvs += [
         # out-of-range nodes

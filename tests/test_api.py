@@ -357,6 +357,15 @@ WIDE, WIDE_TEXT = 10**5000, "<16610-bit integer>"
          "path field 2.5 is not an integer"),
         (lambda: consume_step(SPEC, SourceRoutedPacket(None, True, bits_per_hop(SPEC), 1, 4)),
          "path field True is not an integer"),
+        # bits() checks the framing it reads
+        pytest.param(lambda: SourceRoutedPacket(None, 0, 3, 2.5, 0).bits(),
+                     "hops encoded 2.5 is not an integer", id="bits-hops encoded 2.5"),
+        pytest.param(lambda: SourceRoutedPacket(None, 0, 3, None, 0).bits(),
+                     "hops encoded None is not an integer", id="bits-hops encoded None"),
+        pytest.param(lambda: SourceRoutedPacket(None, 0, 2.5, 1, 0).bits(),
+                     "bits per hop 2.5 is not an integer", id="bits-bits per hop 2.5"),
+        pytest.param(lambda: SourceRoutedPacket(None, 2.5, 3, 1, 0).bits(),
+                     "path field 2.5 is not an integer", id="bits-path field 2.5"),
         (lambda: encode_path(SPEC, [], hop_capacity="x"), "hop capacity 'x' is not an integer"),
         (lambda: encode_path(SPEC, [], hop_capacity=2.5), "hop capacity 2.5 is not an integer"),
         pytest.param(lambda: build_packet(SPEC, 0, 1, hop_capacity=2.5),
@@ -471,6 +480,12 @@ class TestLibraryContract:
     @given(st.integers(max_value=1) | st.booleans() | st.just(-WIDE))
     def test_bench_repeat(self, repeat):
         _returns_or_refuses(lambda: bench_route_computation(MC23, "greedy", repeat))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.none() | INTS, INTS, st.just(31) | INTS, st.just(2**19) | INTS, INTS)
+    def test_packet_bits(self, dst, field, width, hops, capacity):
+        # 31-bit slots are the widest a spec has, and 2**19 hops the longest route
+        _returns_or_refuses(lambda: SourceRoutedPacket(dst, field, width, hops, capacity).bits())
 
     @settings(max_examples=200, deadline=None)
     @given(INTS, st.just(bits_per_hop(MC24)) | INTS)

@@ -92,6 +92,30 @@ def test_route_tables_at_their_largest_spec():
     assert held <= 2.9 * MIB and peak <= 2.9 * MIB
 
 
+def test_digit_distances_for_256_specs():
+    # each entry keeps its spec alive, and a spec's generatrices grow with k:
+    # the 83 MC(s, k) with k >= 4 below the BFS guard, and rings to fill the
+    # cache, which computes them fastest; 154-169 KiB measured, held and at
+    # build, plus a 35 KiB margin
+    sks = [(s, k) for k in range(4, 21) for s in range(2, 33) if s**k <= BFS_NODE_LIMIT]
+    sks += [(s, 1) for s in range(3, 3 + 256 - len(sks))]
+    metrics._digit_distances.cache_clear()
+    held, peak = traced(lambda: [metrics._digit_distances(make_multiplicative(*sk)) for sk in sks])
+    assert metrics._digit_distances.cache_info().currsize == len(sks) == 256
+    metrics._digit_distances.cache_clear()
+    assert held <= 0.2 * MIB and peak <= 0.2 * MIB
+
+
+def test_tree_per_node():
+    # the 2**20-node tree is too slow to trace, so the bound is per node at
+    # 2**16: 18.7 bytes held and 36.6 at build measured, plus 1.3 and 3.4
+    spec = make_circulant(2**16, [1, 3, 9])
+    metrics._tree.cache_clear()
+    held, peak = traced(lambda: metrics._tree(spec))
+    metrics._tree.cache_clear()
+    assert held <= 20 * spec.n and peak <= 40 * spec.n
+
+
 def test_port_table_at_the_most_ports():
     # MC(2,30): 59 ports, the most of any MC spec within MAX_NODES
     spec = make_multiplicative(2, 30)
@@ -129,8 +153,9 @@ def test_random_traffic_lane_tables():
 
 @pytest.mark.parametrize("n", [2**12, MAX_NODES])
 def test_random_traffic_holds_one_block(n):
-    # reading three blocks of a 10**7-pair stream peaks near 75 KiB, one
-    # block's lists and lane ints; a list of every offset would take 80 MB
+    # reading three blocks of a 10**7-pair offset stream peaks near 75 KiB,
+    # one block's lists and lane ints, and its pairs are drawn one at a
+    # time; a list of every offset would take 80 MB
     spec = make_circulant(n, [1])
     simulator._lanes(*LCG)
     for stream in (TrafficPattern.random_pairs(10**7, 5)._offsets(spec),

@@ -102,6 +102,8 @@ def documented_pairs(n, count, seed):
 LAST_PAIR_REDRAW = (2**16 + 1, 2**32 + 28846)
 # (n, seed): pair 593, in the second block, draws dst three times
 DOUBLE_REDRAW = (PAIRS + 1, 18)
+# (n, seed): of 4 * PAIRS pairs on 3**8 nodes, pairs 226 and 717 redraw, inside blocks
+INNER_REDRAWS = (3**8, 87)
 
 
 class TestTrafficPatterns:
@@ -169,10 +171,14 @@ class TestTrafficPatterns:
         n, seed = DOUBLE_REDRAW
         assert [i for i, (_, draws) in enumerate(documented_pairs(n, 2 * PAIRS, seed))
                 if draws > 3] == [593]
+        n, seed = INNER_REDRAWS
+        assert [i for i, (_, draws) in enumerate(documented_pairs(n, 4 * PAIRS, seed))
+                if draws > 2] == [226, 717]
 
     def test_only_a_long_stream_on_many_nodes_draws_blocks(self):
-        # the lane tables wait for the first block; a stream of fewer than
-        # PAIRS pairs, or on fewer than PAIRS nodes, never builds them
+        # the lane tables wait for the first block of an offset stream; a
+        # stream of fewer than PAIRS pairs, or on fewer than PAIRS nodes,
+        # never builds them, and neither does ``pairs`` at any length
         small, large = make_multiplicative(3, 3), make_multiplicative(2, 10)
         simulator._lanes.cache_clear()
         for spec, traffic in ((small, TrafficPattern.all_pairs()),
@@ -181,6 +187,7 @@ class TestTrafficPatterns:
                               (large, TrafficPattern.random_pairs(PAIRS - 1)),
                               (small, TrafficPattern.random_pairs(4 * PAIRS))):
             run(spec, "greedy", traffic)
+        list(TrafficPattern.random_pairs(4 * PAIRS).pairs(make_multiplicative(2, 16)))
         assert simulator._lanes.cache_info().currsize == 0
         run(large, "greedy", TrafficPattern.random_pairs(PAIRS))
         assert simulator._lanes.cache_info().currsize == 1
@@ -224,6 +231,11 @@ class TestOffsetStream:
     @example(make_multiplicative(3, 9), 200, None, -1)
     @example(make_multiplicative(3, 9), 200, 2**64 + 3, 7)
     @example(make_multiplicative(3, 1), 200, -(2**70), 0)  # n = 3 redraws often
+    # offset streams drawn in blocks, against pairs drawn pair by pair: even
+    # n never redraws, and odd n redraws inside and across blocks
+    @example(make_multiplicative(2, 12), 3 * PAIRS + 7, None, 5)
+    @example(make_multiplicative(3, 8), 4 * PAIRS, INNER_REDRAWS[1], 0)
+    @example(make_multiplicative(DOUBLE_REDRAW[0], 1), 3 * PAIRS + 7, DOUBLE_REDRAW[1], 0)
     def test_random_offsets_are_the_offsets_of_the_pairs(self, spec, count, seed, default_seed):
         traffic = TrafficPattern.random_pairs(count, seed)
         n = spec.n

@@ -319,6 +319,19 @@ class TestEncoding:
         assert packet.path_field == 0 and packet.hops_encoded == 0
         assert packet.bits() == "000"
 
+    def test_bits_refuses_framing_no_packet_has(self):
+        with pytest.raises(CorruptPacketError, match="^path field has codes past its 1 hop slots$"):
+            SourceRoutedPacket(None, 0b1_010, 3, 1, 1).bits()
+        with pytest.raises(CorruptPacketError):
+            SourceRoutedPacket(None, -1, 3, 2, 2).bits()
+        with pytest.raises(GuardLimitError, match="above the 524288 hop guard$"):
+            SourceRoutedPacket(None, 0, 2, BFS_NODE_LIMIT // 2 + 1, 0).bits()
+        with pytest.raises(GuardLimitError, match="above the 31 slot guard$"):
+            SourceRoutedPacket(None, 0, 32, 1, 0).bits()
+        # the longest route build_packet returns, a half turn of the 2**20 ring, renders
+        ring = SourceRoutedPacket(None, 0, 2, BFS_NODE_LIMIT // 2, 0)
+        assert ring.bits() == "|".join(["00"] * (BFS_NODE_LIMIT // 2))
+
     def test_capacity_default_is_diameter(self):
         assert build_packet(make_multiplicative(2, 4), 0, 3).hop_capacity == 2
         assert build_packet(make_multiplicative(4, 3), 5, 17).hop_capacity == 5
