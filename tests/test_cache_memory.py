@@ -94,9 +94,9 @@ def test_route_tables_at_their_largest_spec():
 
 def test_digit_distances_for_256_specs():
     # each entry keeps its spec alive, and a spec's generatrices grow with k:
-    # the 83 MC(s, k) with k >= 4 below the BFS guard, and rings to fill the
-    # cache, which computes them fastest; 154-169 KiB measured, held and at
-    # build, plus a 35 KiB margin
+    # the 83 MC(s, k) with k >= 4 below the BFS guard, then rings, the specs
+    # computed fastest, up to 256; 154-169 KiB measured, held and at build,
+    # plus a 35 KiB margin
     sks = [(s, k) for k in range(4, 21) for s in range(2, 33) if s**k <= BFS_NODE_LIMIT]
     sks += [(s, 1) for s in range(3, 3 + 256 - len(sks))]
     metrics._digit_distances.cache_clear()
