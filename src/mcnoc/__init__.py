@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "metrics": (
         "MemoryEstimate", "MetricsRow", "analytic_avg_mc2", "analytic_diameter_mc2",
-        "average_distance", "bfs_distances", "ceil_log2", "compare_row", "diameter",
-        "memory_bits", "mesh_avg", "mesh_diameter", "metrics_csv_row",
+        "average_distance", "bfs_distances", "compare_row", "diameter", "memory_bits",
+        "mesh_avg", "mesh_diameter", "metrics_csv_row",
     ),
     "simulator": (
         "SimReport", "TrafficPattern", "bench_route_computation", "run", "sim_report_csv",
@@ -34,7 +34,7 @@ _EXPORTS = {
         "path_to_actions", "shortest_path",
     ),
     "topology": (
-        "CirculantSpec", "HopAction", "PortCode", "apply_action", "make_circulant",
+        "CirculantSpec", "HopAction", "PortCode", "apply_action", "ceil_log2", "make_circulant",
         "make_multiplicative", "neighbor_offsets", "neighbors", "port_count", "port_table",
         "topology_document",
     ),

@@ -4,7 +4,8 @@ Six subcommands: ``gen`` (topology document), ``metrics`` (distance metrics
 with an optional mesh comparison), ``route`` (one path, optionally with the
 packet encoding), ``simulate`` (forwarding run), ``memory`` (router bit
 budget), and ``bench`` (route-computation timing sweep).  ``main`` builds
-the spec; each command imports what it calls, so a process compiles no more.
+the spec; each command imports what it calls, so a process compiles no more:
+``route`` and ``simulate`` load only the router of their ``--algo``.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed values,
 out-of-range arguments, an ``--out`` file that cannot be written), 2 when a
@@ -20,7 +21,7 @@ import sys
 from dataclasses import asdict
 
 from .errors import CorruptPacketError, GuardLimitError, RoutingError
-from .topology import make_multiplicative, topology_document
+from .topology import ceil_log2, make_multiplicative, topology_document
 
 
 def _add_spec_args(parser: argparse.ArgumentParser):
@@ -90,7 +91,6 @@ def cmd_route(spec, args) -> int:
             )
     else:
         from .greedy_route import greedy_path
-        from .metrics import ceil_log2
 
         print(*greedy_path(spec, args.src, args.dst))
         if args.show_packet:

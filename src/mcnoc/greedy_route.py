@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import RoutingError
-from .metrics import _route
 from .topology import CirculantSpec, _check_node, _guard
 
 STRETCH_NODE_LIMIT = 10_000
@@ -254,6 +253,8 @@ class StretchReport:
 
 def stretch_report(spec: CirculantSpec) -> StretchReport:
     """Exhaustive stretch survey; refuses instances above STRETCH_NODE_LIMIT nodes."""
+    from .metrics import _route  # here, so a greedy run never loads the route core
+
     hops_of = _hop_counter(spec)
     _guard(spec.label, spec.n, STRETCH_NODE_LIMIT)
     n = spec.n

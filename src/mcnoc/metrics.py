@@ -25,17 +25,13 @@ from functools import lru_cache, reduce
 from itertools import groupby
 from typing import NamedTuple
 
-from .topology import CirculantSpec, _at_least, _check_float, _check_node, _guard, neighbor_offsets
+from .topology import (
+    CirculantSpec, _at_least, _check_float, _check_node, _guard, ceil_log2, neighbor_offsets,
+)
 
 # Largest node count the search accepts: a 2**20-node tree already costs
 # seconds and tens of megabytes in pure Python.
 BFS_NODE_LIMIT = 2**20
-
-
-def ceil_log2(x: int) -> int:
-    """Smallest integer b with 2**b >= x."""
-    _at_least("x", x, 1)
-    return (x - 1).bit_length()
 
 
 def _check_size(spec: CirculantSpec):

@@ -8,7 +8,9 @@ walk of its offset (dst - src) mod n (``TrafficPattern._offsets``), in
 ``static_route._hop_tally`` or ``greedy_route._hop_tally``.  A packet that
 stops anywhere but its offset aborts the run with a RoutingError rather
 than being dropped silently.  Either mode hands back one mapping from hop
-count to packets, which gives every figure of the report.
+count to packets, which gives every figure of the report.  A mode's router
+is imported on its first run (``_TALLIES``), and ``bench_route_computation``
+imports its routes when called, so a process loads only the router it walks.
 
 Random traffic uses an explicit linear congruential generator,
 ``x_{t+1} = (1664525 * x_t + 1013904223) mod 2**32`` from ``seed mod 2**32``,
@@ -34,12 +36,24 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, permutations, repeat
 
-from . import greedy_route, static_route
-from .greedy_route import greedy_path
-from .metrics import _search_route
 from .topology import CirculantSpec, _at_least, _check_int, _check_node, _guard
 
 MODES = ("source_routed", "greedy")
+
+
+class _Tallies(dict):
+    """mode -> its router's ``_hop_tally``; a mode's first run imports that router."""
+
+    def __missing__(self, mode):
+        if mode == "source_routed":
+            from .static_route import _hop_tally
+        else:
+            from .greedy_route import _hop_tally
+        self[mode] = _hop_tally
+        return _hop_tally
+
+
+_TALLIES = _Tallies()
 
 BENCH_NODE_LIMIT = 10_000
 ALL_PAIRS_NODE_LIMIT = 256
@@ -230,8 +244,7 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     if traffic.kind == "all_pairs":
         _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
     offsets = traffic._offsets(spec, default_seed=seed)
-    tally = static_route._hop_tally if mode == "source_routed" else greedy_route._hop_tally
-    histogram = tally(spec, offsets, traffic.kind != "single")
+    histogram = _TALLIES[mode](spec, offsets, traffic.kind != "single")
     injected = sum(histogram.values())
     total_hops = sum(hops * count for hops, count in histogram.items())
     max_hops = max(histogram, default=0)
@@ -275,9 +288,9 @@ def bench_route_computation(spec: CirculantSpec, algo: str, repeat: int = 3) -> 
     """
     _guard(spec.label, spec.n, BENCH_NODE_LIMIT)
     if algo == "bfs":
-        route = _search_route
+        from .metrics import _search_route as route
     elif algo == "greedy":
-        route = greedy_path
+        from .greedy_route import greedy_path as route
     else:
         raise ValueError(f"algo must be 'bfs' or 'greedy', got {algo!r}")
     _at_least("repeat", repeat, 1)

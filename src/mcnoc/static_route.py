@@ -118,10 +118,12 @@ def encode_path(
     """Pack hop actions into a path field, first hop in the low bits.
 
     ``hop_capacity`` defaults to the network diameter, the longest route a
-    shortest-path sender ever needs.
+    shortest-path sender ever needs.  More actions than ``bits`` renders
+    (BFS_NODE_LIMIT // 2) are refused before any is packed.
     """
     if dst is not None:
         _check_node(spec, "destination", dst)
+    _guard("packet", len(actions), BFS_NODE_LIMIT // 2, "hop guard", "hop slots")
     if hop_capacity is None:
         hop_capacity = diameter(spec)
     _check_int("hop capacity", hop_capacity)

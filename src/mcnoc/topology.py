@@ -128,6 +128,12 @@ def _guard(label: str, n: int, limit: int, guard: str = "guard", unit: str = "no
         raise GuardLimitError(f"{label} has {_int_text(n)} {unit}, above the {limit} {guard}")
 
 
+def ceil_log2(x: int) -> int:
+    """Smallest integer b with 2**b >= x."""
+    _at_least("x", x, 1)
+    return (x - 1).bit_length()
+
+
 def make_multiplicative(s: int, k: int) -> CirculantSpec:
     """Build MC(s, k): n = s**k nodes with generatrices s**0 .. s**(k-1)."""
     _at_least("base s", s, 2)

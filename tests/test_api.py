@@ -206,6 +206,37 @@ def test_importing_the_package_loads_no_module_until_asked():
     assert proc.stdout == "['mcnoc'] True False\n"
 
 
+def test_a_run_loads_only_the_router_of_its_mode():
+    # in a fresh interpreter: the simulator alone, or a run refused for its
+    # mode, loads no router and no route core; each mode's first run adds
+    # what that mode walks, and nothing else
+    script = (
+        "import sys\n"
+        "from mcnoc import simulator, topology\n"
+        "def loaded():\n"
+        "    return sorted(m[6:] for m in sys.modules if m.startswith('mcnoc.'))\n"
+        "spec, traffic = topology.make_multiplicative(2, 4), simulator.TrafficPattern.all_pairs()\n"
+        "try:\n"
+        "    simulator.run(spec, 'dijkstra', traffic)\n"
+        "except ValueError:\n"
+        "    print(loaded())\n"
+        "simulator.run(spec, 'greedy', traffic)\n"
+        "print(loaded())\n"
+        "simulator.run(spec, 'source_routed', traffic)\n"
+        "print(loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['errors', 'simulator', 'topology']",
+        "['errors', 'greedy_route', 'simulator', 'topology']",
+        "['errors', 'greedy_route', 'metrics', 'simulator', 'static_route', 'topology']",
+    ]
+
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mcnoc").glob("*.py"))
 
 

@@ -322,11 +322,17 @@ MC24 = ("--s", "2", "--k", "4")
         (("route", *MC24, "--from", "0", "--to", "5", "--algo", "bfs", "--show-packet"),
          {"metrics", "static_route"}),
         (("route", *MC24, "--from", "0", "--to", "5", "--algo", "greedy", "--show-packet"),
-         {"greedy_route", "metrics"}),
+         {"greedy_route"}),
         (("simulate", *MC24, "--algo", "greedy", "--traffic", "pair:0:5"),
-         {"greedy_route", "metrics", "simulator", "static_route"}),
+         {"greedy_route", "simulator"}),
+        (("simulate", *MC24, "--algo", "bfs", "--traffic", "pair:0:5"),
+         {"metrics", "simulator", "static_route"}),
+        (("bench", *MC24, "--repeat", "1"), {"greedy_route", "metrics", "simulator"}),
     ],
-    ids=["import", "gen", "metrics", "memory", "route-bfs", "route-greedy", "simulate"],
+    ids=[
+        "import", "gen", "metrics", "memory", "route-bfs", "route-greedy", "simulate",
+        "simulate-bfs", "bench",
+    ],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, added):
     # every module loaded is compiled from source when bytecode caching is off

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 from collections import Counter
@@ -575,6 +576,29 @@ class TestRun:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             run(make_multiplicative(2, 3), "dijkstra", TrafficPattern.all_pairs())
+
+    def test_an_unhashable_mode_is_a_value_error(self):
+        # the mode is checked against MODES before the router table is read
+        with pytest.raises(ValueError, match=r"^mode must be one of .*, got \[\]$"):
+            run(make_multiplicative(2, 3), [], TrafficPattern.all_pairs())
+        assert set(simulator._TALLIES) <= set(simulator.MODES)
+
+    @pytest.mark.parametrize("mode", simulator.MODES)
+    def test_a_run_after_the_first_imports_nothing(self, monkeypatch, mode):
+        # a mode's first run imports its router; later runs look it up
+        spec = make_multiplicative(2, 4)
+        first = run(spec, mode, TrafficPattern.all_pairs())
+        imported = []
+        real = builtins.__import__
+
+        def recorded(name, *args, **kwargs):
+            imported.append(name)
+            return real(name, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "__import__", recorded)
+            again = run(spec, mode, TrafficPattern.all_pairs())
+        assert imported == [] and again == first
 
     @pytest.mark.parametrize("mode", simulator.MODES)
     def test_all_pairs_guard_refuses_before_the_first_pair(self, monkeypatch, mode):

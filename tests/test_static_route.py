@@ -341,6 +341,18 @@ class TestEncoding:
         with pytest.raises(ValueError):
             build_packet(spec, 0, 21, hop_capacity=1)
 
+    def test_encode_path_refuses_more_hops_than_bits_renders_before_packing(self, monkeypatch):
+        # packing is quadratic in the hop count, and bits() would refuse the packet anyway
+        def no_packing(spec):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(static_route, "bits_per_hop", no_packing)
+        hops = BFS_NODE_LIMIT // 2 + 1
+        with pytest.raises(
+            GuardLimitError, match="^packet has 524289 hop slots, above the 524288 hop guard$"
+        ):
+            encode_path(make_multiplicative(2, 4), [HopAction(0, 1)] * hops, hop_capacity=hops + 1)
+
     def test_rejects_foreign_action(self):
         with pytest.raises(ValueError):
             encode_path(make_multiplicative(2, 4), [HopAction(3, -1)])
