@@ -9,7 +9,7 @@ Public names resolve on first use (PEP 562), so importing the package, or
 one of its modules, compiles only the modules that are used.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -46,12 +46,14 @@ __all__ = sorted(_MODULE_OF)
 
 def __getattr__(name: str):
     """Import the module behind a public name (or a module itself) and bind it here."""
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)  # the import binds it
-    module = _MODULE_OF.get(name)
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)  # the interpreter's own import path, which -X importtime reports
+    if module == name:
+        return sys.modules[qualified]  # the import binds it
+    value = getattr(sys.modules[qualified], name)
     globals()[name] = value  # later lookups find it without calling this hook
     return value
 

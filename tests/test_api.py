@@ -206,6 +206,20 @@ def test_importing_the_package_loads_no_module_until_asked():
     assert proc.stdout == "['mcnoc'] True False\n"
 
 
+def test_importtime_lists_each_module_the_package_loads_on_first_use():
+    # a public name and a module reached through the package both import
+    # through the interpreter's import path, so `-X importtime` times them
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import mcnoc; mcnoc.run; mcnoc.metrics"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {"mcnoc", "mcnoc.simulator", "mcnoc.metrics"} <= timed
+
+
 def test_a_run_loads_only_the_router_of_its_mode():
     # in a fresh interpreter: the simulator alone, or a run refused for its
     # mode, loads no router and no route core; each mode's first run adds
