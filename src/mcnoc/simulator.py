@@ -22,8 +22,10 @@ An offset stream of at least PAIRS pairs on at least PAIRS nodes is drawn
 PAIRS pairs at a time (``_by_block``): by the jump-ahead
 ``x_t = (a_t * x_0 + c_t) mod 2**32``, one multiply-add over the 64-bit
 lanes of one int (``_lanes``) gives a block's states, and no lane, at most
-``(2**32 - 1)**2 + 2**32 < 2**64``, carries into the next.  A redraw ends
-its block, and the next block starts from the state after the redraw.  A
+``(2**32 - 1)**2 + 2**32 < 2**64``, carries into the next.  On a power of
+two n, which divides 2**32, one AND of the lanes with n - 1 reduces a block
+to its offsets; any other n takes one ``% n`` per pair.  A redraw ends its
+block, and the next block starts from the state after the redraw.  A
 shorter offset stream is drawn pair by pair, where a block's fixed cost
 would not be repaid.
 """
@@ -103,18 +105,25 @@ def _by_block(a: int, c: int, n: int, x: int, count: int):
     none carries into the next), and one multiply-add per side gives a
     whole block.  Its offset (dst - src) mod n is ``(x_dst - x_src + z) % n``,
     with ``z = 2**32 + (-2**32 mod n)`` a multiple of n that keeps each lane
-    positive.  The first pair whose offset is 0 draws dst again and ends
+    positive.  When n is a power of two, z is 2**32 and n divides it, so one
+    AND of every lane with n - 1 reduces the whole block; any other n takes
+    one ``% n`` per pair.  Only the pairs the stream still needs are
+    unpacked.  The first pair whose offset is 0 draws dst again and ends
     its block, and the next block starts from the state after the redraw.
     """
     a_src, c_src, a_dst, c_dst, ones = _lanes(a, c)
     low = 0xFFFFFFFF * ones
     z = (2**32 + -(2**32) % n) * ones
+    mask = (n - 1) * ones if n & (n - 1) == 0 else None
     left = count
     while left > 0:
         srcs = (a_src * x + c_src) & low
         lanes = ((a_dst * x + c_dst) & low) + z - srcs
-        offs = [v % n for v in struct.unpack(f"<{PAIRS}Q", lanes.to_bytes(8 * PAIRS, "little"))]
-        del offs[left:]
+        take = f"<{min(left, PAIRS)}Q"
+        if mask is None:
+            offs = [v % n for v in struct.unpack_from(take, lanes.to_bytes(8 * PAIRS, "little"))]
+        else:
+            offs = struct.unpack_from(take, (lanes & mask).to_bytes(8 * PAIRS, "little"))
         if 0 in offs:  # the first pair whose dst is its src draws dst again
             i = offs.index(0)
             x = (srcs >> 64 * i) & 0xFFFFFFFF
@@ -122,8 +131,7 @@ def _by_block(a: int, c: int, n: int, x: int, count: int):
             x = (a * x + c) & 0xFFFFFFFF
             while x % n == node:
                 x = (a * x + c) & 0xFFFFFFFF
-            offs[i] = (x - node) % n
-            del offs[i + 1:]
+            offs = [*offs[:i], (x - node) % n]
         else:
             x = (a * (srcs >> 64 * (PAIRS - 1)) + c) & 0xFFFFFFFF
         left -= len(offs)
@@ -208,7 +216,9 @@ class TrafficPattern:
         least PAIRS nodes: a shorter stream fills less than one block, and
         on fewer nodes a redraw ends the blocks about every n pairs, so a
         block's fixed cost (the table lookup, two multiply-adds over its
-        lanes, the byte round trip) is not repaid.
+        lanes, the byte round trip) is not repaid.  A block reduces its
+        lanes with one AND when n is a power of two, and with one ``% n``
+        per pair otherwise.
         """
         a, c = 1664525, 1013904223  # the generator x_{t+1} = (a * x_t + c) mod 2**32
         x = (self.seed if self.seed is not None else default_seed) % 2**32

@@ -146,7 +146,8 @@ class TestTrafficPatterns:
         assert list(TrafficPattern.random_pairs(count, seed).pairs(spec)) == reference
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([3, 4, PAIRS - 1, PAIRS, PAIRS + 1, 2**16, 2**16 + 1, MAX_NODES]),
+    @given(st.sampled_from([3, 4, PAIRS - 1, PAIRS, PAIRS + 1, 2**16, 2**16 + 1, 2**30,
+                            MAX_NODES]),
            st.sampled_from([0, PAIRS - 1, PAIRS, PAIRS + 1, 3 * PAIRS + 7]),
            st.sampled_from([-1, 0]) | st.integers(2**32, 2**80))
     @example(LAST_PAIR_REDRAW[0], PAIRS, LAST_PAIR_REDRAW[1])
@@ -155,9 +156,10 @@ class TestTrafficPatterns:
     def test_blocks_keep_the_documented_lcg(self, n, count, seed):
         # counts and node counts around the block size, on both sides of the
         # pair-by-pair rule; x_{t+1} - x_t is odd, so only odd n redraw: n = 3
-        # about one pair in three, PAIRS + 1 about once a block; MAX_NODES has
-        # z = 2**32 + n - 2, and seed -1 starts at 2**32 - 1, the largest state
-        # a lane multiplies
+        # about one pair in three, PAIRS + 1 about once a block; a power of
+        # two from PAIRS to 2**30, the widest mask under MAX_NODES, reduces
+        # its lanes with one AND; MAX_NODES has z = 2**32 + n - 2, and seed -1
+        # starts at 2**32 - 1, the largest state a lane multiplies
         spec = make_circulant(n, [1])
         reference = [pair for pair, _ in documented_pairs(n, count, seed)]
         traffic = TrafficPattern.random_pairs(count, seed)
