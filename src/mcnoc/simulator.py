@@ -119,11 +119,11 @@ def _by_block(a: int, c: int, n: int, x: int, count: int):
     while left > 0:
         srcs = (a_src * x + c_src) & low
         lanes = ((a_dst * x + c_dst) & low) + z - srcs
-        take = f"<{min(left, PAIRS)}Q"
+        fmt = f"<{min(left, PAIRS)}Q"
         if mask is None:
-            offs = [v % n for v in struct.unpack_from(take, lanes.to_bytes(8 * PAIRS, "little"))]
+            offs = [v % n for v in struct.unpack_from(fmt, lanes.to_bytes(8 * PAIRS, "little"))]
         else:
-            offs = struct.unpack_from(take, (lanes & mask).to_bytes(8 * PAIRS, "little"))
+            offs = struct.unpack_from(fmt, (lanes & mask).to_bytes(8 * PAIRS, "little"))
         if 0 in offs:  # the first pair whose dst is its src draws dst again
             i = offs.index(0)
             x = (srcs >> 64 * i) & 0xFFFFFFFF
