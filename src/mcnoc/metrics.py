@@ -295,7 +295,7 @@ class MetricsRow:
 
 
 def compare_row(spec: CirculantSpec) -> MetricsRow:
-    """Brute-force metrics plus mesh reference; closed forms only for s = 2."""
+    """The spec's cached distance profile, the mesh reference, and closed forms for s = 2."""
     has_closed_form = spec.s == 2
     return MetricsRow(
         label=spec.label,

@@ -18,16 +18,13 @@ so a seed produces the same pairs on every platform and run: src is one
 draw and dst the next, drawn again while it equals src.  ``_draws`` writes
 the generator once.  ``pairs`` draws it pair by pair (``_by_pair``), the
 loop this paragraph describes and the reference for the offset stream.
-An offset stream of at least PAIRS pairs on at least PAIRS nodes is drawn
-PAIRS pairs at a time (``_by_block``): by the jump-ahead
-``x_t = (a_t * x_0 + c_t) mod 2**32``, one multiply-add over the 64-bit
-lanes of one int (``_lanes``) gives a block's states, and no lane, at most
-``(2**32 - 1)**2 + 2**32 < 2**64``, carries into the next.  On a power of
-two n, which divides 2**32, one AND of the lanes with n - 1 reduces a block
-to its offsets; any other n takes one ``% n`` per pair.  A redraw ends its
-block, and the next block starts from the state after the redraw.  A
-shorter offset stream is drawn pair by pair, where a block's fixed cost
-would not be repaid.
+An offset stream of at least PAIRS pairs on a power of two n is drawn PAIRS
+pairs at a time (``_by_block``).  Such an n divides 2**32, so a pair's offset
+is the low bits of (x_dst - x_src) mod 2**32, and on even n no pair redraws,
+since x_{t+1} - x_t is odd.  By the jump-ahead x_t = (a_t * x + c_t) mod 2**32
+that difference is one multiply-add over the 64-bit lanes of one int
+(``_lanes``), and one AND with n - 1 in every lane leaves a block's offsets.
+Every other stream is drawn pair by pair.
 """
 
 from __future__ import annotations
@@ -57,30 +54,32 @@ class _Tallies(dict):
 
 _TALLIES = _Tallies()
 
-BENCH_NODE_LIMIT = 10_000
 ALL_PAIRS_NODE_LIMIT = 256
-PAIRS = 512  # random pairs drawn per block; a block's lists and lanes peak near 80 KiB
+PAIRS = 512  # random pairs drawn per block; a block's offsets and lanes peak near 32 KiB
 
 
 @lru_cache(maxsize=1)
 def _lanes(a: int, c: int) -> tuple:
     """The jump-ahead of x -> (a * x + c) mod 2**32 over a block, one 64-bit lane per pair.
 
-    x_t = (a_t * x_0 + c_t) mod 2**32: (a_t, c_t) of the src states
-    t = 1, 3, .., 2 * PAIRS - 1, then of the dst states t = 2, 4, .., 2 * PAIRS,
-    then a 1 in every lane.  Built on the first block drawn, x_t from 0
-    being c_t and x_t from 1 less c_t being a_t, straight into bytes: lists
-    of the lanes' ints would more than double the build's peak.
+    x_t = (a_t * x + c_t) mod 2**32, so pair j's x_(2j+2) - x_(2j+1) is
+    a_j * x + c_j with a_j = a_(2j+2) - a_(2j+1) and c_j = c_(2j+2) - c_(2j+1),
+    both mod 2**32.  Returns the int of every a_j, the int of every c_j, an
+    int with a 1 in every lane, and the block's own jump a_(2 PAIRS) and
+    c_(2 PAIRS).  Built on the first block drawn, x_t from 0 being c_t and
+    x_t from 1 less c_t being a_t, straight into bytes: lists of the lanes'
+    ints would more than double the build's peak.
     """
-    tables = [bytearray(8 * PAIRS) for _ in range(4)]
+    a_lanes, c_lanes = bytearray(8 * PAIRS), bytearray(8 * PAIRS)
     zero, one = 0, 1
-    for t in range(2 * PAIRS):
-        zero, one = (a * zero + c) & 0xFFFFFFFF, (a * one + c) & 0xFFFFFFFF
-        pair, side = divmod(t, 2)
-        struct.pack_into("<Q", tables[2 * side], 8 * pair, (one - zero) & 0xFFFFFFFF)
-        struct.pack_into("<Q", tables[2 * side + 1], 8 * pair, zero)
-    tables.append(b"\1\0\0\0\0\0\0\0" * PAIRS)
-    return tuple(int.from_bytes(t, "little") for t in tables)
+    for pair in range(PAIRS):
+        src_zero, src_one = (a * zero + c) & 0xFFFFFFFF, (a * one + c) & 0xFFFFFFFF
+        zero, one = (a * src_zero + c) & 0xFFFFFFFF, (a * src_one + c) & 0xFFFFFFFF
+        struct.pack_into("<Q", a_lanes, 8 * pair, (one - zero - src_one + src_zero) & 0xFFFFFFFF)
+        struct.pack_into("<Q", c_lanes, 8 * pair, (zero - src_zero) & 0xFFFFFFFF)
+    ones = b"\1\0\0\0\0\0\0\0" * PAIRS
+    lanes = (int.from_bytes(t, "little") for t in (a_lanes, c_lanes, ones))
+    return (*lanes, (one - zero) & 0xFFFFFFFF, zero)
 
 
 def _by_pair(a: int, c: int, n: int, x: int, count: int, offsets: bool):
@@ -97,45 +96,22 @@ def _by_pair(a: int, c: int, n: int, x: int, count: int, offsets: bool):
 
 
 def _by_block(a: int, c: int, n: int, x: int, count: int):
-    """The offsets of ``_by_pair``'s draws, one block of up to PAIRS offsets at a time.
+    """The offsets of ``_by_pair``'s draws on a power of two n, up to PAIRS at a time.
 
-    Pair j of a block from state x has src state x_(2j+1) and dst state
-    x_(2j+2), where ``x_t = (a_t * x + c_t) mod 2**32`` lane by lane
-    (``_lanes``; a lane holds at most ``(2**32 - 1)**2 + 2**32 < 2**64``, so
-    none carries into the next), and one multiply-add per side gives a
-    whole block.  Its offset (dst - src) mod n is ``(x_dst - x_src + z) % n``,
-    with ``z = 2**32 + (-2**32 mod n)`` a multiple of n that keeps each lane
-    positive.  When n is a power of two, z is 2**32 and n divides it, so one
-    AND of every lane with n - 1 reduces the whole block; any other n takes
-    one ``% n`` per pair.  Only the pairs the stream still needs are
-    unpacked.  The first pair whose offset is 0 draws dst again and ends
-    its block, and the next block starts from the state after the redraw.
+    From state x, pair j of a block has offset (x_(2j+2) - x_(2j+1)) mod n:
+    n divides 2**32, and on even n dst is never src, so no pair redraws.
+    That difference is ``a_j * x + c_j`` in lane j (``_lanes``), at most
+    ``(2**32 - 1)**2 + 2**32 - 1 < 2**64``, so no lane carries into the
+    next, and one AND of every lane with n - 1 leaves each offset in its
+    lane.  Only the pairs the stream still needs are unpacked, and the
+    block's own jump gives the next block's start state.
     """
-    a_src, c_src, a_dst, c_dst, ones = _lanes(a, c)
-    low = 0xFFFFFFFF * ones
-    z = (2**32 + -(2**32) % n) * ones
-    mask = (n - 1) * ones if n & (n - 1) == 0 else None
-    left = count
-    while left > 0:
-        srcs = (a_src * x + c_src) & low
-        lanes = ((a_dst * x + c_dst) & low) + z - srcs
-        fmt = f"<{min(left, PAIRS)}Q"
-        if mask is None:
-            offs = [v % n for v in struct.unpack_from(fmt, lanes.to_bytes(8 * PAIRS, "little"))]
-        else:
-            offs = struct.unpack_from(fmt, (lanes & mask).to_bytes(8 * PAIRS, "little"))
-        if 0 in offs:  # the first pair whose dst is its src draws dst again
-            i = offs.index(0)
-            x = (srcs >> 64 * i) & 0xFFFFFFFF
-            node = x % n
-            x = (a * x + c) & 0xFFFFFFFF
-            while x % n == node:
-                x = (a * x + c) & 0xFFFFFFFF
-            offs = [*offs[:i], (x - node) % n]
-        else:
-            x = (a * (srcs >> 64 * (PAIRS - 1)) + c) & 0xFFFFFFFF
-        left -= len(offs)
-        yield offs
+    a_lanes, c_lanes, ones, jump_a, jump_c = _lanes(a, c)
+    mask = (n - 1) * ones
+    for left in range(count, 0, -PAIRS):
+        lanes = (a_lanes * x + c_lanes) & mask
+        yield struct.unpack_from(f"<{min(left, PAIRS)}Q", lanes.to_bytes(8 * PAIRS, "little"))
+        x = (jump_a * x + jump_c) & 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -212,17 +188,14 @@ class TrafficPattern:
         """The random pairs on n nodes, or with ``offsets`` their offsets, as one iterator.
 
         Pairs are drawn pair by pair, by the documented loop.  Offsets are
-        drawn in blocks only for a stream of at least PAIRS pairs on at
-        least PAIRS nodes: a shorter stream fills less than one block, and
-        on fewer nodes a redraw ends the blocks about every n pairs, so a
-        block's fixed cost (the table lookup, two multiply-adds over its
-        lanes, the byte round trip) is not repaid.  A block reduces its
-        lanes with one AND when n is a power of two, and with one ``% n``
-        per pair otherwise.
+        drawn in blocks only for a stream of at least PAIRS pairs on a power
+        of two n, where no pair redraws: a shorter stream fills less than
+        one block, whose fixed cost (the table lookup, one multiply-add over
+        its lanes, the byte round trip) is not repaid.
         """
         a, c = 1664525, 1013904223  # the generator x_{t+1} = (a * x_t + c) mod 2**32
         x = (self.seed if self.seed is not None else default_seed) % 2**32
-        if offsets and min(n, self.count) >= PAIRS:
+        if offsets and self.count >= PAIRS and n & (n - 1) == 0:
             return chain.from_iterable(_by_block(a, c, n, x, self.count))
         return _by_pair(a, c, n, x, self.count, offsets)
 
@@ -294,9 +267,10 @@ def bench_route_computation(spec: CirculantSpec, algo: str, repeat: int = 3) -> 
 
     ``bfs`` runs a fresh search from the source per pair, bypassing the
     cached tree; ``greedy`` walks the greedy rule per pair.  Refuses instances
-    above BENCH_NODE_LIMIT nodes.
+    above ALL_PAIRS_NODE_LIMIT nodes, as all-pairs ``run`` does: a ``bfs``
+    sweep costs about n**3 times the ports.
     """
-    _guard(spec.label, spec.n, BENCH_NODE_LIMIT)
+    _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
     if algo == "bfs":
         from .metrics import _search_route as route
     elif algo == "greedy":

@@ -169,6 +169,12 @@ class TestBenchCommand:
         assert n == "8"
         assert float(bfs_s) > 0.0 and float(greedy_s) > 0.0
 
+    def test_refuses_above_the_all_pairs_guard(self, capsys):
+        # MC(2,9) would take minutes per bfs sweep; the guard exits before one
+        code, out, err = run_cli(capsys, "bench", "--s", "2", "--k", "9")
+        assert code == 2 and out == ""
+        assert "MC(2,9) has 512 nodes, above the 256 all-pairs guard" in err
+
 
 class TestExitCodes:
     def test_usage_error_from_argparse(self, capsys):

@@ -1,6 +1,7 @@
 import builtins
 import json
 import math
+import time
 from collections import Counter
 from dataclasses import fields
 
@@ -99,11 +100,12 @@ def documented_pairs(n, count, seed):
         yield (src, x % n), draws
 
 
-# (n, seed): the first redraw comes at pair PAIRS - 1, the last of a full block
+# redraws on odd n, which an offset stream draws pair by pair at every length:
+# (n, seed): the first redraw comes at pair PAIRS - 1
 LAST_PAIR_REDRAW = (2**16 + 1, 2**32 + 28846)
-# (n, seed): pair 593, in the second block, draws dst three times
+# (n, seed): pair 593 draws dst three times
 DOUBLE_REDRAW = (PAIRS + 1, 18)
-# (n, seed): of 4 * PAIRS pairs on 3**8 nodes, pairs 226 and 717 redraw, inside blocks
+# (n, seed): of 4 * PAIRS pairs on 3**8 nodes, pairs 226 and 717 redraw
 INNER_REDRAWS = (3**8, 87)
 
 
@@ -146,20 +148,23 @@ class TestTrafficPatterns:
         assert list(TrafficPattern.random_pairs(count, seed).pairs(spec)) == reference
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([3, 4, PAIRS - 1, PAIRS, PAIRS + 1, 2**16, 2**16 + 1, 2**30,
-                            MAX_NODES]),
+    @given(st.sampled_from([3, 4, 16, 256, PAIRS - 1, PAIRS, PAIRS + 1, 2**16, 2**16 + 1,
+                            2**30, MAX_NODES]),
            st.sampled_from([0, PAIRS - 1, PAIRS, PAIRS + 1, 3 * PAIRS + 7]),
            st.sampled_from([-1, 0]) | st.integers(2**32, 2**80))
+    @example(4, PAIRS, -1)
+    @example(16, PAIRS + 1, 0)
+    @example(256, 3 * PAIRS + 7, 2**40 + 3)
     @example(LAST_PAIR_REDRAW[0], PAIRS, LAST_PAIR_REDRAW[1])
     @example(LAST_PAIR_REDRAW[0], 3 * PAIRS + 7, LAST_PAIR_REDRAW[1])
     @example(DOUBLE_REDRAW[0], 3 * PAIRS + 7, DOUBLE_REDRAW[1])
     def test_blocks_keep_the_documented_lcg(self, n, count, seed):
-        # counts and node counts around the block size, on both sides of the
-        # pair-by-pair rule; x_{t+1} - x_t is odd, so only odd n redraw: n = 3
-        # about one pair in three, PAIRS + 1 about once a block; a power of
-        # two from PAIRS to 2**30, the widest mask under MAX_NODES, reduces
-        # its lanes with one AND; MAX_NODES has z = 2**32 + n - 2, and seed -1
-        # starts at 2**32 - 1, the largest state a lane multiplies
+        # counts around the block size, on both sides of the pair-by-pair
+        # rule; an offset stream of at least PAIRS pairs on a power of two
+        # from 4 to 2**30, the widest mask under MAX_NODES, is drawn in blocks,
+        # and seed -1 starts at 2**32 - 1, the largest state a lane
+        # multiplies; x_{t+1} - x_t is odd, so only odd n redraw, pair by
+        # pair: n = 3 about one pair in three, PAIRS + 1 about once in n
         spec = make_circulant(n, [1])
         reference = [pair for pair, _ in documented_pairs(n, count, seed)]
         traffic = TrafficPattern.random_pairs(count, seed)
@@ -180,19 +185,25 @@ class TestTrafficPatterns:
 
     def test_only_a_long_stream_on_many_nodes_draws_blocks(self):
         # the lane tables wait for the first block of an offset stream; a
-        # stream of fewer than PAIRS pairs, or on fewer than PAIRS nodes,
-        # never builds them, and neither does ``pairs`` at any length
+        # stream of fewer than PAIRS pairs, or on a node count that is not a
+        # power of two, never builds them, and neither does ``pairs`` at any
+        # length; a long stream on a power of two builds them at any size
         small, large = make_multiplicative(3, 3), make_multiplicative(2, 10)
+        odd = make_multiplicative(3, 8)
         simulator._lanes.cache_clear()
         for spec, traffic in ((small, TrafficPattern.all_pairs()),
                               (large, TrafficPattern.single(0, 5)),
                               (large, TrafficPattern.random_pairs(0)),
                               (large, TrafficPattern.random_pairs(PAIRS - 1)),
-                              (small, TrafficPattern.random_pairs(4 * PAIRS))):
+                              (small, TrafficPattern.random_pairs(4 * PAIRS)),
+                              (odd, TrafficPattern.random_pairs(4 * PAIRS))):
             run(spec, "greedy", traffic)
         list(TrafficPattern.random_pairs(4 * PAIRS).pairs(make_multiplicative(2, 16)))
         assert simulator._lanes.cache_info().currsize == 0
         run(large, "greedy", TrafficPattern.random_pairs(PAIRS))
+        assert simulator._lanes.cache_info().currsize == 1
+        simulator._lanes.cache_clear()
+        run(make_multiplicative(2, 4), "greedy", TrafficPattern.random_pairs(4 * PAIRS))
         assert simulator._lanes.cache_info().currsize == 1
 
     def test_pattern_seed_wins_over_run_seed(self):
@@ -234,8 +245,8 @@ class TestOffsetStream:
     @example(make_multiplicative(3, 9), 200, None, -1)
     @example(make_multiplicative(3, 9), 200, 2**64 + 3, 7)
     @example(make_multiplicative(3, 1), 200, -(2**70), 0)  # n = 3 redraws often
-    # offset streams drawn in blocks, against pairs drawn pair by pair: even
-    # n never redraws, and odd n redraws inside and across blocks
+    # an offset stream drawn in blocks on a power of two n, and streams on
+    # odd n, which redraw, drawn pair by pair, against pairs
     @example(make_multiplicative(2, 12), 3 * PAIRS + 7, None, 5)
     @example(make_multiplicative(3, 8), 4 * PAIRS, INNER_REDRAWS[1], 0)
     @example(make_multiplicative(DOUBLE_REDRAW[0], 1), 3 * PAIRS + 7, DOUBLE_REDRAW[1], 0)
@@ -663,6 +674,13 @@ class TestBench:
     def test_size_guard(self):
         with pytest.raises(GuardLimitError):
             bench_route_computation(make_multiplicative(10, 5), "greedy")
+
+    def test_size_guard_is_the_all_pairs_guard(self):
+        # one bfs sweep of MC(2,9) took minutes; it is refused before any route
+        start = time.perf_counter()
+        with pytest.raises(GuardLimitError, match="512 nodes, above the 256 all-pairs guard"):
+            bench_route_computation(make_multiplicative(2, 9), "bfs")
+        assert time.perf_counter() - start < 1.0
 
     def test_bfs_sweep_searches_once_per_pair(self, monkeypatch):
         # the bench times one full search per ordered pair, never the cached tree
