@@ -169,12 +169,6 @@ class TestBenchCommand:
         assert n == "8"
         assert float(bfs_s) > 0.0 and float(greedy_s) > 0.0
 
-    def test_refuses_above_the_all_pairs_guard(self, capsys):
-        # MC(2,9) would take minutes per bfs sweep; the guard exits before one
-        code, out, err = run_cli(capsys, "bench", "--s", "2", "--k", "9")
-        assert code == 2 and out == ""
-        assert "MC(2,9) has 512 nodes, above the 256 all-pairs guard" in err
-
 
 class TestExitCodes:
     def test_usage_error_from_argparse(self, capsys):
@@ -214,10 +208,12 @@ class TestExitCodes:
         [
             ("gen", "--s", "3", "--k", "1000000"),
             ("memory", "--s", "9" * 2000, "--k", "30"),
+            ("bench", "--s", "2", "--k", "9"),
         ],
     )
     def test_node_count_guard_refuses_promptly(self, argv):
-        # s**k would take seconds to form, and its digits overflow the int -> str limit
+        # s**k would take seconds to form, and its digits overflow the int -> str
+        # limit; bench's bfs sweeps of MC(2,9), past the all-pairs guard, would take minutes
         proc = child("-m", "mcnoc.cli", *argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("invariant violation:")

@@ -672,15 +672,14 @@ class TestBench:
             bench_route_computation(spec, "bfs", repeat=0)
 
     def test_size_guard(self):
-        with pytest.raises(GuardLimitError):
-            bench_route_computation(make_multiplicative(10, 5), "greedy")
-
-    def test_size_guard_is_the_all_pairs_guard(self):
-        # one bfs sweep of MC(2,9) took minutes; it is refused before any route
-        start = time.perf_counter()
-        with pytest.raises(GuardLimitError, match="512 nodes, above the 256 all-pairs guard"):
-            bench_route_computation(make_multiplicative(2, 9), "bfs")
-        assert time.perf_counter() - start < 1.0
+        # the all-pairs guard refuses before any route: one bfs sweep of
+        # MC(2,9) would take minutes
+        for spec in (make_multiplicative(10, 5), make_multiplicative(2, 9)):
+            for algo in ("bfs", "greedy"):
+                start = time.perf_counter()
+                with pytest.raises(GuardLimitError, match="above the 256 all-pairs guard"):
+                    bench_route_computation(spec, algo)
+                assert time.perf_counter() - start < 1.0
 
     def test_bfs_sweep_searches_once_per_pair(self, monkeypatch):
         # the bench times one full search per ordered pair, never the cached tree
