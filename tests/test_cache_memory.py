@@ -154,9 +154,9 @@ def test_random_traffic_lane_tables():
 
 @pytest.mark.parametrize("n", [2**12, 2**30, MAX_NODES])
 def test_random_traffic_holds_one_block(n):
-    # reading three blocks of a 10**7-pair offset stream holds one block's
-    # offsets and lane ints on a power of two n, and one pair on any other
-    # n (MAX_NODES), where it is drawn pair by pair, as its pairs are; a
+    # reading three blocks' worth of a 10**7-pair offset stream holds one
+    # block's offsets and lane ints on a power of two n, and one pair on any
+    # other n (MAX_NODES), which is drawn pair by pair as ``pairs`` is; a
     # list of every offset would take 80 MB
     spec = make_circulant(n, [1])
     simulator._lanes(*LCG)
