@@ -10,10 +10,10 @@ x = sum c_j * s**j (mod s**k), at cost sum |c_j|, and a digit DP over the
 base-s digits of x finds the least cost (``_digit_hops``); summed over every
 x it gives the diameter and the distance total (``_digit_distances``).  The
 route the search records is the least port-code sequence among shortest
-paths, which the DP also returns (see README), here per half of the digits
-(``_halves``).  Both keep the search's node guard.  ``_distances`` and
-``_route`` choose between DP and tree; a route is port-code runs
-``[(code, hops), ...]`` in ascending code order.
+paths, which the DP also returns (see README), so a route is one DP.  Both
+keep the search's node guard.  ``_distances`` and ``_route`` choose between
+DP and tree; a route is port-code runs ``[(code, hops), ...]`` in ascending
+code order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -107,30 +107,27 @@ def _top(s: int, v: int) -> int:
     return c - s if 2 * c >= s else c
 
 
-def _digit_hops(s: int, k: int, x: int, carry=None) -> tuple:
-    """(cost, hop counts c_(k-1)..c_0) of the route the node-0 search records to x on MC(s, k).
+def _digit_hops(s: int, k: int, x: int) -> list[int]:
+    """Hop counts c_(k-1)..c_0 of the route the node-0 search records to x on MC(s, k).
 
     Among least-cost vectors it takes the most hops on the first port code:
     the most negative c_(k-1), else the largest, then the same for c_(k-2),
-    and so on down: at a low digit, a carry in unlike the carry out when
-    the costs allow.  A given ``carry`` out of digit k - 1 makes it a low digit.
+    and so on down.  At a low digit that means a carry in unlike the carry
+    out whenever the costs allow it.  On a ring (k = 1) it is ``_top(s, x)``.
     """
     digits = []
     for _ in range(k):
         x, r = divmod(x, s)
         digits.append(r)
     costs = [(0, math.inf)]  # costs[j]: least cost of digits below j, per carry into j
-    for r in digits if carry is not None else digits[:-1]:
+    for r in digits[:-1]:
         costs.append(_carries(s, r, costs[-1]))
-    hops = []
-    if carry is None:
-        a, b = _top(s, digits[-1]), _top(s, digits[-1] + 1)
-        ta, tb = costs[-1][0] + abs(a), costs[-1][1] + abs(b)
-        carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
-        costs.append((ta, tb))
-        hops.append(b if carry else a)
-    cost = costs[-1][carry]
-    for j in range(k - 1 - len(hops), -1, -1):  # the digits below any placed top digit
+    in0, in1 = costs[-1]
+    a, b = _top(s, digits[-1]), _top(s, digits[-1] + 1)
+    ta, tb = in0 + abs(a), in1 + abs(b)
+    carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
+    hops = [b if carry else a]
+    for j in range(k - 2, -1, -1):
         r = digits[j]
         t = 1 - carry
         c = r + t - s * carry
@@ -139,62 +136,35 @@ def _digit_hops(s: int, k: int, x: int, carry=None) -> tuple:
             c = r + t - s * carry
         hops.append(c)
         carry = t
-    return cost, hops
+    return hops
 
 
 @lru_cache(maxsize=8)
-def _halves(spec: CirculantSpec) -> tuple:
-    """(low table, high table, low and high port codes) of MC(s, k) split at digit k // 2.
+def _ports(spec: CirculantSpec) -> tuple:
+    """(minus, plus) port codes per generatrix of MC(s, k), largest generatrix first.
 
     The node guard runs here, so a warm route skips it and a refused spec,
     never cached, raises on every call.
     """
     _check_size(spec)
-    m = spec.k // 2
     code = neighbor_offsets(spec).index
-    ports = [(code(spec.n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices)]
-    return [None] * spec.s**m, [None] * spec.s ** (spec.k - m), ports[-m:], ports[:-m]
+    return tuple((code(spec.n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices))
 
 
-def _half(spec: CirculantSpec, tables: tuple, high: bool, x: int) -> tuple:
-    """Fill entry x: high (cost, rank, runs) of its DP, low (carry 1 less 0 cost, runs per carry)."""
-    s, ports = spec.s, tables[2 + high]
-    dps = [_digit_hops(s, len(ports), x, t) for t in ((None,) if high else (0, 1))]
-    runs = [tuple((port[c > 0], abs(c)) for port, c in zip(ports, v) if c) for _, v in dps]
-    if high:  # the tie rule's order: base-2s digits, top first, a minus side above any plus side
-        rank = reduce(lambda rank, c: 2 * s * rank + (s - c if c < 0 else c), dps[0][1], 0)
-        tables[1][x] = entry = (dps[0][0], rank, *runs)
-    else:
-        tables[0][x] = entry = (dps[1][0] - dps[0][0], *runs)
-    return entry
-
-
-def _route(spec: CirculantSpec, offset: int) -> list | tuple:
+def _route(spec: CirculantSpec, offset: int) -> list[tuple[int, int]]:
     """Runs (code, hops), ascending by code, of the route 0 -> offset the node-0 search records.
 
-    On MC(s, k), k >= 2, the carry into digit k // 2 is the one DP state that
-    crosses the split, and the tie rule reads the high digits first.
+    On MC(s, k), rings included, they are the nonzero hop counts of one
+    ``_digit_hops`` call; a general circulant reads its cached tree.
     """
     if not spec.is_multiplicative:
         codes = neighbor_offsets(spec).index
         path = _tree_path(_tree(spec).pred, offset)
         steps = [codes((v - u) % spec.n) + 1 for u, v in zip(path, path[1:])]
         return [(code, len(list(run))) for code, run in groupby(steps)]
-    if spec.k == 1:  # a ring: codes 1 and 2 step -1 and +1
-        _check_size(spec)
-        c = _top(spec.n, offset)
-        return [(1 + (c > 0), abs(c))] if c else []
-    tables = _halves(spec)
-    lows, highs = tables[0], tables[1]
-    high, low = divmod(offset, len(lows))
-    carry_in = (high + 1) % len(highs)  # H with carry 1 in routes as H + 1
-    lo = lows[low] or _half(spec, tables, False, low)
-    hi0 = highs[high] or _half(spec, tables, True, high)
-    hi1 = highs[carry_in] or _half(spec, tables, True, carry_in)
-    d = lo[0] + hi1[0] - hi0[0]  # the carry across the split: the least cost, then the rank
-    if d < 0 or (d == 0 and hi1[1] > hi0[1]):
-        return hi1[2] + lo[2]
-    return hi0[2] + lo[1]
+    ports = _ports(spec)  # ascending codes: the largest generatrix first, minus before plus
+    hops = _digit_hops(spec.s, spec.k, offset)
+    return [(port[c > 0], abs(c)) for port, c in zip(ports, hops) if c]
 
 
 @lru_cache(maxsize=256)

@@ -20,11 +20,11 @@ def nx_circulant(spec: CirculantSpec) -> nx.Graph:
 @pytest.fixture
 def encodes(monkeypatch):
     """Offsets whose runs ``static_route`` asks the route core for, counted,
-    starting from no cached field list or route tables: one per field packed
+    starting from no cached field list or port record: one per field packed
     and one per ``shortest_path``."""
     static_route._routes.cache_clear()
     static_route._field_list.cache_clear()
-    metrics._halves.cache_clear()
+    metrics._ports.cache_clear()
     calls = Counter()
     route = static_route._route
 

@@ -55,8 +55,6 @@ def test_a_full_field_list_at_its_largest_specs(sk):
     spec = make_multiplicative(*sk)
     routes = static_route._routes(spec)
     assert spec.n * (40 + routes.capacity * routes.bits // 7) <= FIELD_LIST_BYTES
-    for off in range(spec.n):  # fill the route tables first: only the list is measured
-        metrics._route(spec, off)
     static_route._field_list.cache_clear()
 
     def fill():
@@ -67,29 +65,7 @@ def test_a_full_field_list_at_its_largest_specs(sk):
 
     held, peak = traced(fill)
     static_route._field_list.cache_clear()
-    metrics._halves.cache_clear()
     assert held <= 3.25 * MIB and peak <= 3.25 * MIB
-
-
-def test_route_tables_at_their_largest_spec():
-    # MC(101,3) is the MC spec below the BFS guard with the most table entries:
-    # 101 low and 10 201 high, all filled
-    spec = make_multiplicative(101, 3)
-    assert spec.n <= BFS_NODE_LIMIT < 102**3
-
-    def fill():
-        tables = metrics._halves(spec)
-        for high in range(len(tables[1])):
-            metrics._half(spec, tables, True, high)
-        for low in range(len(tables[0])):
-            metrics._half(spec, tables, False, low)
-        return tables
-
-    metrics._halves.cache_clear()
-    held, peak = traced(fill)
-    metrics._halves.cache_clear()
-    # 2.65 MiB measured, held and at build, plus a 0.25 MiB margin
-    assert held <= 2.9 * MIB and peak <= 2.9 * MIB
 
 
 def test_digit_distances_for_256_specs():

@@ -1,5 +1,3 @@
-import math
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -239,100 +237,28 @@ class TestMemory:
             memory_bits(make_circulant(12, [1, 3]))
 
 
-# The full digit DP as it was before the route tables split it: the oracle
-# for every split of the tables below.
-
-
-def _old_carries(s, r, cost):
-    in0, in1 = cost
-    return min(in0 + r, in1 + r + 1), min(in0 + s - r, in1 + s - r - 1)
-
-
-def _old_top(s, v):
-    c = v % s
-    return c - s if 2 * c >= s else c
-
-
-def _old_digit_hops(s, k, x):
-    digits = []
-    for _ in range(k):
-        x, r = divmod(x, s)
-        digits.append(r)
-    costs = [(0, math.inf)]
-    for r in digits[:-1]:
-        costs.append(_old_carries(s, r, costs[-1]))
-    in0, in1 = costs[-1]
-    a, b = _old_top(s, digits[-1]), _old_top(s, digits[-1] + 1)
-    ta, tb = in0 + abs(a), in1 + abs(b)
-    carry = 1 if tb < ta or (tb == ta and (b < 0, abs(b)) > (a < 0, abs(a))) else 0
-    hops = [b if carry else a]
-    for j in range(k - 2, -1, -1):
-        r = digits[j]
-        t = 1 - carry
-        c = r + t - s * carry
-        if costs[j][t] + abs(c) != costs[j + 1][carry]:
-            t = carry
-            c = r + t - s * carry
-        hops.append(c)
-        carry = t
-    return hops
-
-
-def split_specs(k):
-    """MC(s, k) with n <= 70 000: every s for k >= 3, and s <= 32 for k = 2 (115 specs)."""
-    return [(s, k) for s in range(2, 33 if k == 2 else 42) if s**k <= 70_000]
-
-
-@pytest.mark.parametrize("k", range(2, 17))
-def test_split_tables_route_as_the_full_dp_at_every_split(k, monkeypatch):
-    # every offset, every split 1 <= m < k: the runs _route reads from the
-    # tables split at m are the old DP's hop vector as runs, largest
-    # generatrix first, minus first
-    for s, k in split_specs(k):
-        spec = make_multiplicative(s, k)
-        n = spec.n
-        code = metrics.neighbor_offsets(spec).index
-        ports = [(code(n - g) + 1, code(g) + 1) for g in reversed(spec.generatrices)]
-        want = [
-            tuple((port[c > 0], abs(c)) for port, c in zip(ports, _old_digit_hops(s, k, x)) if c)
-            for x in range(n)
-        ]
-        for m in range(1, k):
-            tables = [None] * s**m, [None] * s ** (k - m), ports[-m:], ports[:-m]
-            with monkeypatch.context() as patch:
-                patch.setattr(metrics, "_halves", lambda spec: tables)
-                got = [metrics._route(spec, x) for x in range(n)]
-            assert got == want, (s, k, m)
-
-
-def test_split_specs_are_the_115():
-    assert sum(len(split_specs(k)) for k in range(2, 17)) == 115
-
-
-def test_routes_read_the_tables_split_at_half_the_digits():
-    for s, k in [(2, 2), (3, 5), (4, 8), (2, 17)]:
-        spec = make_multiplicative(s, k)
-        metrics._halves.cache_clear()
-        x = spec.n // 3
+@pytest.mark.parametrize("sk", [(3, 5), (2, 16), (101, 3), (256, 1)])
+def test_each_route_is_one_dp(sk, monkeypatch):
+    # nothing outlives a route but the port record: a first and a repeated
+    # route to the same offset each run the DP once, rings included
+    spec = make_multiplicative(*sk)
+    offsets = [*range(0, spec.n, -(-spec.n // 1000)), spec.n - 1] * 2
+    calls = []
+    dp = metrics._digit_hops
+    monkeypatch.setattr(metrics, "_digit_hops", lambda *args: calls.append(args) or dp(*args))
+    metrics._ports.cache_clear()
+    for x in offsets:
         metrics._route(spec, x)
-        assert metrics._halves.cache_info().currsize == 1
-        low, high, low_ports, high_ports = metrics._halves(spec)
-        assert metrics._halves.cache_info().hits == 1
-        m = k // 2
-        assert (len(low), len(high)) == (s**m, s ** (k - m))
-        assert (len(low_ports), len(high_ports)) == (m, k - m)
-        # one low entry, and the high entries of H and H + 1
-        h, r = divmod(x, s**m)
-        assert [i for i, entry in enumerate(low) if entry] == [r]
-        assert [i for i, entry in enumerate(high) if entry] == sorted([h, (h + 1) % len(high)])
+    assert calls == [(*sk, x) for x in offsets]
+    metrics._ports.cache_clear()
 
 
-def test_the_route_tables_run_the_node_guard_once_per_spec(monkeypatch):
+def test_the_port_record_runs_the_node_guard_once_per_spec(monkeypatch):
     # a warm route skips the guard; a refused spec is never cached and raises every time
     checked = []
     check = metrics._check_size
     monkeypatch.setattr(metrics, "_check_size", lambda spec: checked.append(spec) or check(spec))
-    metrics._halves.cache_clear()
+    metrics._ports.cache_clear()
     spec, big = make_multiplicative(4, 4), make_multiplicative(2, 21)
     for x in range(spec.n):
         metrics._route(spec, x)
@@ -341,28 +267,5 @@ def test_the_route_tables_run_the_node_guard_once_per_spec(monkeypatch):
         with pytest.raises(GuardLimitError, match="BFS guard$"):
             metrics._route(big, 1)
     assert checked == [spec, big, big]
-    assert metrics._halves.cache_info().currsize == 1
-    metrics._halves.cache_clear()
-
-
-@pytest.mark.parametrize("sk", [(3, 5), (2, 16), (101, 3)])
-def test_each_high_entry_costs_one_dp_and_each_low_entry_two(sk, monkeypatch):
-    # the high table is read at H and H + 1, so a high entry is its own DP
-    spec = make_multiplicative(*sk)
-    s, k = sk
-    fill = s ** (k - k // 2) + 2 * s ** (k // 2)
-    calls = []
-    dp = metrics._digit_hops
-    monkeypatch.setattr(metrics, "_digit_hops", lambda *args: calls.append(args) or dp(*args))
-    metrics._halves.cache_clear()
-    tables = metrics._halves(spec)
-    for high in range(len(tables[1])):
-        metrics._half(spec, tables, True, high)
-    for low in range(len(tables[0])):
-        metrics._half(spec, tables, False, low)
-    assert len(calls) == fill
-    if spec.n <= 2**16:  # every route reads the filled entries and runs no DP
-        for x in range(spec.n):
-            metrics._route(spec, x)
-        assert len(calls) == fill
-    metrics._halves.cache_clear()
+    assert metrics._ports.cache_info().currsize == 1
+    metrics._ports.cache_clear()

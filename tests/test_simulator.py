@@ -183,7 +183,7 @@ class TestTrafficPatterns:
         assert [i for i, (_, draws) in enumerate(documented_pairs(n, 4 * PAIRS, seed))
                 if draws > 2] == [226, 717]
 
-    def test_only_a_long_stream_on_many_nodes_draws_blocks(self):
+    def test_only_a_long_stream_on_a_power_of_two_draws_blocks(self):
         # the lane tables wait for the first block of an offset stream; a
         # stream of fewer than PAIRS pairs, or on a node count that is not a
         # power of two, never builds them, and neither does ``pairs`` at any
@@ -500,7 +500,7 @@ class TestRun:
     def test_the_router_keeps_the_last_8_specs(self):
         assert static_route._routes.cache_info().maxsize == 8
         assert static_route._field_list.cache_info().maxsize == 8
-        assert metrics._halves.cache_info().maxsize == 8
+        assert metrics._ports.cache_info().maxsize == 8
 
     def test_the_list_holds_the_checked_field_of_each_offset_met(self, cold_lists):
         # every field kept is the one build_packet packs, and only offsets met are kept

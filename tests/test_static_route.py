@@ -249,6 +249,14 @@ class TestTieRule:
             sums = _digit_distances(spec)
             assert (sums.diameter, sums.total) == (max(dist), sum(dist)), spec.label
 
+    @pytest.mark.parametrize("sk", [(4, 8), (16, 4)])
+    def test_digit_dp_is_the_search_on_65536_nodes(self, sk):
+        # past the sweep above: every offset's DP route is the tree path of a fresh search
+        spec = make_multiplicative(*sk)
+        pred = _bfs(spec, 0)[1]
+        for x in range(spec.n):
+            assert shortest_path(spec, 0, x) == _tree_path(pred, x), (spec.label, x)
+
     @pytest.mark.parametrize("sk", [(2, 4), (2, 7), (3, 4), (4, 3), (5, 3), (11, 2), (13, 1)])
     def test_multiplicative_specs_read_no_tree(self, monkeypatch, sk):
         spec = make_multiplicative(*sk)

@@ -279,12 +279,12 @@ class TestStoredHash:
         a, b = make_multiplicative(4, 2), make_circulant(16, [1, 4])
         assert a is not b and a == b and hash(a) == hash(b)
         assert build_packet(a, 0, 5) == build_packet(b, 0, 5)
-        # one pack per call, and one record and one pair of route tables serve both specs
+        # one pack per call, and one record and one port record serve both specs
         assert encodes == {5: 2}
         assert static_route._routes(a) is static_route._routes(b)
         assert static_route._routes.cache_info().currsize == 1
-        assert metrics._halves(a) is metrics._halves(b)
-        assert metrics._halves.cache_info().currsize == 1
+        assert metrics._ports(a) is metrics._ports(b)
+        assert metrics._ports.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
         "spec", [make_multiplicative(4, 2), make_circulant(12, [1, 3])], ids=lambda s: s.label
