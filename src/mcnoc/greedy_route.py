@@ -20,8 +20,11 @@ walk of a batch ``run``, reads the same rule from a per-spec list by offset,
 ``nxt[off] = |dd - g(dd)|`` at off's distance dd, filled one rung segment at
 a time for dd in 0..n // 2, refused at build if a step does not shrink, and
 mirrored past n // 2: one index per hop from the offset itself, one tally
-slot per packet.  Above NEXT_DISTANCE_NODE_LIMIT nodes, and for a one-packet
-run, it counts ``_hop_counter``'s walks instead, so no list is built.
+slot per packet.  On at most 256 nodes every offset is a byte, and the batch
+advances all its packets one hop per cycle with one ``bytes.translate``
+through the same list.  Above NEXT_DISTANCE_NODE_LIMIT nodes, and for a
+one-packet run, it counts ``_hop_counter``'s walks instead, so no list is
+built.
 
 Greedy walks are shortest, and balanced base-s digits reach any offset in at
 most k * (s // 2) hops, which passes GREEDY_HOP_LIMIT only on rings above
@@ -217,9 +220,14 @@ def _hop_counter(spec: CirculantSpec):
 def _hop_tally(spec: CirculantSpec, offsets, batch: bool = True) -> dict[int, int]:
     """Walk each offset's greedy distance from node 0; map each hop count to its packets.
 
-    A batch up to NEXT_DISTANCE_NODE_LIMIT nodes walks the spec's checked list
-    from each offset into k * (s // 2) + 1 slots; a walk past the last raises
-    RoutingError (greedy walks are shortest).  Else it counts ``_hop_counter``.
+    A batch on at most 256 nodes is one byte per packet, and every cycle
+    advances them all one hop with ``bytes.translate`` through the spec's
+    checked list: delivered bytes stay 0, bytes of offsets n..255 map to
+    themselves, and each cycle's new zeros are the packets delivered on that
+    hop.  A batch on more nodes, up to NEXT_DISTANCE_NODE_LIMIT, walks the
+    list from each offset into k * (s // 2) + 1 slots.  Either walk raises
+    RoutingError past k * (s // 2) hops (greedy walks are shortest), naming
+    the first such offset.  Any other run counts ``_hop_counter``.
     """
     n = spec.n
     if not batch or n > NEXT_DISTANCE_NODE_LIMIT:
@@ -227,16 +235,30 @@ def _hop_tally(spec: CirculantSpec, offsets, batch: bool = True) -> dict[int, in
     nxt = _next_distances(n, spec.generatrices, _ladder(spec))
     bound = spec.k * (spec.s // 2)
     counts = [0] * (bound + 1)
-    for off in offsets:
-        d = off
-        hops = 0
-        while d:
-            d = nxt[d]
-            hops += 1
-        try:
-            counts[hops] += 1
-        except IndexError:
-            raise RoutingError(f"greedy walk from 0 to {off} exceeded {bound} hops") from None
+    if n <= 256:
+        start = live = bytes(offsets)
+        counts[0] = delivered = live.count(0)
+        table = bytes([0, *nxt[1:], *range(n, 256)])
+        for hops in range(1, bound + 1):
+            if delivered == len(live):
+                break
+            live = live.translate(table)
+            counts[hops] = live.count(0) - delivered
+            delivered += counts[hops]
+        if delivered < len(live):
+            off = start[len(live) - len(live.lstrip(b"\0"))]
+            raise RoutingError(f"greedy walk from 0 to {off} exceeded {bound} hops")
+    else:
+        for off in offsets:
+            d = off
+            hops = 0
+            while d:
+                d = nxt[d]
+                hops += 1
+            try:
+                counts[hops] += 1
+            except IndexError:
+                raise RoutingError(f"greedy walk from 0 to {off} exceeded {bound} hops") from None
     return {hops: count for hops, count in enumerate(counts) if count}
 
 

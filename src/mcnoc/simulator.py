@@ -5,11 +5,13 @@ advances one hop per cycle, so packets never interact and the cycle count of
 a run is simply the longest hop count among its packets.  A circulant is
 vertex transitive, so ``run`` walks every packet hop by hop as the node-0
 walk of its offset (dst - src) mod n (``TrafficPattern._offsets``), in
-``static_route._hop_tally`` or ``greedy_route._hop_tally``.  A packet that
-stops anywhere but its offset aborts the run with a RoutingError rather
-than being dropped silently.  Either mode hands back one mapping from hop
-count to packets, which gives every figure of the report.  A mode's router
-is imported on its first run (``_TALLIES``), and ``bench_route_computation``
+``static_route._hop_tally`` or ``greedy_route._hop_tally``.  All-pairs
+traffic is refused above ALL_PAIRS_NODE_LIMIT = 256 nodes where its stream
+is built, so that stream is one byte per packet.  A packet that stops
+anywhere but its offset aborts the run with a RoutingError rather than
+being dropped silently.  Either mode hands back one mapping from hop count
+to packets, which gives every figure of the report.  A mode's router is
+imported on its first run (``_TALLIES``), and ``bench_route_computation``
 imports its routes when called, so a process loads only the router it walks.
 
 Random traffic uses an explicit linear congruential generator,
@@ -33,7 +35,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain, permutations, repeat
+from itertools import chain, permutations
 
 from .topology import CirculantSpec, _at_least, _check_int, _check_node, _guard
 
@@ -173,13 +175,15 @@ class TrafficPattern:
         """The offset (dst - src) mod n of each pair ``pairs`` yields.
 
         Random and single traffic keep ``pairs``'s order, and single traffic
-        checks its nodes before it returns.  All-pairs traffic is n copies
-        of 1..n-1: each source's offsets, ascending, with no Python work per
-        packet.
+        checks its nodes before it returns.  All-pairs traffic is n(n-1)
+        packets, so it is refused above ALL_PAIRS_NODE_LIMIT nodes; within
+        it, it is one byte per packet, n copies of 1..n-1: each source's
+        offsets, ascending, with no Python work per packet.
         """
         n = spec.n
         if self.kind == "all_pairs":
-            return chain.from_iterable(repeat(range(1, n), n))
+            _guard(spec.label, n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
+            return bytes(range(1, n)) * n
         if self.kind == "random_pairs":
             return self._draws(n, default_seed, True)
         return [(dst - src) % n for src, dst in self.pairs(spec)]
@@ -217,15 +221,14 @@ def run(spec: CirculantSpec, mode: str, traffic: TrafficPattern, seed: int = 0) 
     """Inject the traffic pattern, forward every packet, and tally the run.
 
     ``seed`` feeds random traffic only when the pattern does not carry its
-    own seed.  All-pairs traffic is n(n-1) packets, so it is refused above
-    ALL_PAIRS_NODE_LIMIT nodes; random traffic costs a count the caller chose.
-    Every packet of the offset stream is walked hop by hop and its delivery checked.
+    own seed.  All-pairs traffic is refused above ALL_PAIRS_NODE_LIMIT nodes
+    (``TrafficPattern._offsets``); random traffic costs a count the caller
+    chose.  Every packet of the offset stream is walked hop by hop and its
+    delivery checked.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_int("seed", seed)
-    if traffic.kind == "all_pairs":
-        _guard(spec.label, spec.n, ALL_PAIRS_NODE_LIMIT, "all-pairs guard")
     offsets = traffic._offsets(spec, default_seed=seed)
     histogram = _TALLIES[mode](spec, offsets, traffic.kind != "single")
     injected = sum(histogram.values())

@@ -1,3 +1,4 @@
+import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -341,6 +342,44 @@ class TestNextDistances:
         with pytest.raises(IndexError, match="offset stream"):
             greedy_route._hop_tally(spec, offsets())
 
+    def test_the_byte_walk_names_the_first_walk_past_the_bound(self, monkeypatch):
+        # the patched ladder above: 7 and 8 walk 7 and 8 hops; the first of
+        # them in stream order is named, whichever is longer or comes last
+        spec = make_multiplicative(4, 3)
+        monkeypatch.setattr(greedy_route, "_ladder", lambda spec: (32, 32))
+        for stream, named in (([7, 6, 8, 7], 7), ([6, 8, 7], 8), ([0] * 300 + [6, 7], 7)):
+            with pytest.raises(RoutingError) as walked:
+                greedy_route._hop_tally(spec, stream)
+            assert str(walked.value) == f"greedy walk from 0 to {named} exceeded 6 hops"
+
+    @pytest.mark.parametrize("sk", [(4, 3), (3, 5), (2, 7)])
+    def test_an_offset_past_n_is_refused_by_the_byte_walk(self, sk):
+        # its byte maps to itself, so it never reads as delivered
+        spec = make_multiplicative(*sk)
+        n, bound = spec.n, spec.k * (spec.s // 2)
+        for off in range(n, 256):
+            with pytest.raises(RoutingError) as walked:
+                greedy_route._hop_tally(spec, [1, off, 0])
+            assert str(walked.value) == f"greedy walk from 0 to {off} exceeded {bound} hops"
+
+    def test_the_list_walk_relabels_only_its_tally_slot(self, monkeypatch):
+        # above 256 nodes a batch walks the list: with every rung past n // 2
+        # distance d walks d hops, past MC(4,5)'s k * (s // 2) = 10 from 11
+        spec = make_multiplicative(4, 5)
+        monkeypatch.setattr(greedy_route, "_ladder", lambda spec: (512,) * 4)
+        assert greedy_route._hop_tally(spec, [10, 1014, 0]) == {10: 2, 0: 1}
+        for stream, named in (([10, 1014, 11], 11), ([12, 6, 11], 12)):
+            with pytest.raises(RoutingError) as walked:
+                greedy_route._hop_tally(spec, stream)
+            assert str(walked.value) == f"greedy walk from 0 to {named} exceeded 10 hops"
+
+        def offsets():
+            yield 10
+            raise IndexError("offset stream")
+
+        with pytest.raises(IndexError, match="offset stream"):
+            greedy_route._hop_tally(spec, offsets())
+
     @settings(max_examples=300, deadline=None)
     @given(list_offsets())
     def test_list_walk_is_the_digit_dp_distance(self, case):
@@ -385,6 +424,17 @@ class TestTally:
                     bisect_walk(off) for off in range(1, n)).items()})
             dp = Counter(sum(map(abs, _digit_hops(s, k, off))) for off in range(1, n))
             assert tally == walked == {hops: n * count for hops, count in dp.items()}, spec.label
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_byte_walk_is_the_bisecting_walk_on_any_stream(self, seed):
+        # random offsets with repeats and offset 0, on every spec the
+        # all-pairs guard admits: each packet walks as its own offset does
+        rng = random.Random(seed)
+        for spec in all_pairs_specs():
+            stream = [0, *rng.choices(range(spec.n), k=200), 0]
+            walked = Counter(map(greedy_route._hop_counter(spec), stream))
+            assert greedy_route._hop_tally(spec, stream) == walked, spec.label
+            assert greedy_route._hop_tally(spec, []) == {}
 
     # sim-greedy's random batches: MC(4,6) x 2000, MC(2,12) x 2000 and MC(4,8) x 1600
     @pytest.mark.parametrize("sk, count", [((4, 6), 2000), ((2, 12), 2000), ((4, 8), 1600)])

@@ -275,6 +275,18 @@ class TestOffsetStream:
         assert offsets == {off: n for off in range(1, n)}
         assert offsets == Counter((d - s) % n for s, d in TrafficPattern.all_pairs().pairs(spec))
 
+    def test_all_pairs_offsets_are_built_only_within_the_guard(self):
+        # one byte per packet: each source's offsets, ascending, up to 256 nodes
+        top = make_multiplicative(simulator.ALL_PAIRS_NODE_LIMIT, 1)
+        assert TrafficPattern.all_pairs()._offsets(top) == bytes(range(1, 256)) * 256
+        ring = make_multiplicative(257, 1)
+        refused = r"^MC\(257,1\) has 257 nodes, above the 256 all-pairs guard$"
+        with pytest.raises(GuardLimitError, match=refused):
+            TrafficPattern.all_pairs()._offsets(ring)
+        for mode in simulator.MODES:
+            with pytest.raises(GuardLimitError, match=refused):
+                run(ring, mode, TrafficPattern.all_pairs())
+
 
 class TestRun:
     def test_all_pairs_source_routed_reference(self):
